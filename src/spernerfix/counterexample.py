@@ -27,14 +27,14 @@ from fractions import Fraction
 
 from .expr import Const, Expr, IfNeg, Mul, Sub, Var, evaluate
 from .rationals import is_below_sqrt2
-from .sperner import (
-    ExactVertex,
-    Labeling,
-    find_transition_scan,
-    label_by_sign,
-    make_uniform_grid,
+from .sperner import Labeling, find_transition_scan, label_by_sign, make_uniform_grid
+from .solver import (
+    CertificateError,
+    CertifiedBracket,
+    SolverConfig,
+    refine_rounds,
+    residual,
 )
-from .solver import CertifiedBracket, SolverConfig, residual, solve
 
 # Exact lower bound for every midpoint residual; 2/5 < sqrt(2) - 1.
 RESIDUAL_FLOOR = Fraction(2, 5)
@@ -75,48 +75,50 @@ class CounterexampleReport:
 def run_demo(depth: int) -> list[CounterexampleReport]:
     """Bisect the counterexample for `depth` rounds and certify each one.
 
-    Runs the solver in refine mode (branching 2, no Lipschitz declaration)
-    once per round count, so each report comes from the public solver
-    surface. Per round, asserts in exact arithmetic that the bracket
-    straddles sqrt(2), that the midpoint residual stays at or above 2/5,
-    that no grid vertex is ever exactly fixed, and that the grid the solver
-    refined still satisfies the Sperner lemma. Any failure here would be an
-    implementation bug.
+    Drains one refine-mode stream of the solver (branching 2, no Lipschitz
+    declaration), so each report comes from the public solver surface and
+    the cost is linear in depth. Per round, checks in exact arithmetic that
+    the bracket straddles sqrt(2), that the midpoint residual stays at or
+    above 2/5, that no grid vertex is ever exactly fixed, and that the grid
+    the solver refined still satisfies the Sperner lemma. Any failure raises
+    CertificateError: it would be an implementation bug.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     f = counterexample_expr()
+    config = SolverConfig(
+        epsilon=Fraction(1, 2 ** (depth + 1)),
+        lipschitz=None,
+        branching=2,
+        max_rounds=depth,
+        mode="refine",
+    )
+    rounds = refine_rounds(f, _ONE, _TWO, config)
+    next(rounds)  # round 0 is [1, 2] itself
     reports: list[CounterexampleReport] = []
     prev_lo, prev_hi = _ONE, _TWO
-    for d in range(1, depth + 1):
-        config = SolverConfig(
-            epsilon=Fraction(1, 2 ** (depth + 1)),
-            lipschitz=None,
-            branching=2,
-            max_rounds=d,
-            mode="refine",
-        )
-        result = solve(f, _ONE, _TWO, config)
-        assert isinstance(result, CertifiedBracket), (
-            "exact vertex fixed point cannot occur: f has none"
-        )
-        bracket = result
+    for d, bracket in enumerate(rounds, 1):
+        if not isinstance(bracket, CertifiedBracket):
+            raise CertificateError("exact vertex fixed point cannot occur: f has none")
 
         # The grid refined this round, rebuilt by hand: Sperner still holds
         # over Q, and the transition edge is the bracket the solver returned.
         grid = make_uniform_grid(prev_lo, prev_hi, 2)
         labeled = label_by_sign(grid, f)
-        assert not isinstance(labeled, ExactVertex)
-        assert isinstance(labeled, Labeling)
+        if not isinstance(labeled, Labeling):
+            raise CertificateError(f"round {d}: a vertex of {grid.vertices} is exactly fixed")
         edge = find_transition_scan(labeled)
-        assert (grid.vertices[edge - 1], grid.vertices[edge]) == (bracket.lo, bracket.hi)
+        if (grid.vertices[edge - 1], grid.vertices[edge]) != (bracket.lo, bracket.hi):
+            raise CertificateError(f"round {d}: the solver left the transition edge")
 
         contains = is_below_sqrt2(bracket.lo) and not is_below_sqrt2(bracket.hi)
         midpoint = bracket.midpoint
         g_mid = residual(f, midpoint)
         floor_ok = abs(g_mid) >= RESIDUAL_FLOOR
-        assert contains, "bracket stopped straddling sqrt(2)"
-        assert floor_ok, "midpoint residual fell below the exact floor"
+        if not contains:
+            raise CertificateError(f"round {d}: bracket stopped straddling sqrt(2)")
+        if not floor_ok:
+            raise CertificateError(f"round {d}: midpoint residual fell below the exact floor")
 
         reports.append(
             CounterexampleReport(
@@ -129,4 +131,6 @@ def run_demo(depth: int) -> list[CounterexampleReport]:
             )
         )
         prev_lo, prev_hi = bracket.lo, bracket.hi
+    if len(reports) != depth:
+        raise CertificateError(f"{len(reports)} rounds for depth {depth}")
     return reports

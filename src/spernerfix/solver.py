@@ -13,10 +13,16 @@ bound exists.
 Two modes:
 
 * ``refine`` (default): repeatedly split the current bracket into
-  `branching` equal parts, label, and descend into a 0-to-1 edge. Stops when
+  `branching` equal parts and bisect the part indices, evaluating only the
+  vertices the bisection queries, down to a 0-to-1 edge. Stops when
   (L+1) * width / 2 <= epsilon (with a declared Lipschitz bound L), when
   width <= epsilon (without one), or at max_rounds, in which case the best
-  bracket so far is returned marked unconverged.
+  bracket so far is returned marked unconverged. The residuals of the
+  bracket ends are carried from round to round, so a round costs
+  ceil(log2(branching)) evaluations and no point is evaluated twice.
+  ExactVertex is returned when some *queried* vertex is exactly fixed; at
+  branching 2 that is every vertex of the sub-grid, at larger branching
+  the unqueried vertices are never evaluated.
 * ``single_grid``: build one uniform grid fine enough that the spacing is
   below delta = min(epsilon/L, epsilon * (1 - 1/branching)) and return the
   first transition edge. Requires a declared Lipschitz bound.
@@ -26,14 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Union
+from typing import Callable, Iterator, Literal, Union
 
 from .expr import Expr, as_function
 from .sperner import (
     ExactVertex,
     Labeling,
     NonSelfMapError,
-    find_transition_bisect,
     find_transition_scan,
     label_by_sign,
     make_uniform_grid,
@@ -42,6 +47,14 @@ from .sperner import (
 Mode = Literal["refine", "single_grid"]
 
 Function = Union[Expr, Callable[[Fraction], Fraction]]
+
+
+class CertificateError(AssertionError):
+    """An exactly decided claim of a certificate came out false.
+
+    That is an implementation bug, never bad input. The checks that raise it
+    are plain `if` tests, so unlike `assert` they also run under python -O.
+    """
 
 
 @dataclass(frozen=True)
@@ -143,25 +156,16 @@ def solve(
 
     Returns ExactVertex when some examined grid vertex is exactly fixed,
     otherwise a CertifiedBracket. Raises NonSelfMapError when the endpoint
-    residuals show f escaping the interval.
+    residuals show f escaping the interval. Refine mode returns the last
+    result of refine_rounds; single_grid mode only takes its endpoint checks.
     """
-    if not a < b:
-        raise ValueError("requires a < b")
-    fn = as_function(f)
-    g_a = fn(a) - a
-    g_b = fn(b) - b
-    # Endpoints in scan order, matching label_by_sign on the same grid.
-    if g_a == 0:
-        return ExactVertex(a)
-    if g_a < 0:
-        raise NonSelfMapError(f"f({a}) < {a}: map does not self-map the interval")
-    if g_b == 0:
-        return ExactVertex(b)
-    if g_b > 0:
-        raise NonSelfMapError(f"f({b}) > {b}: map does not self-map the interval")
-    if config.mode == "single_grid":
-        return _solve_single_grid(fn, a, b, config)
-    return _solve_refine(fn, a, b, g_a, g_b, config)
+    rounds = refine_rounds(f, a, b, config)
+    result = next(rounds)
+    if config.mode == "single_grid" and isinstance(result, CertifiedBracket):
+        return _solve_single_grid(as_function(f), a, b, config)
+    for result in rounds:
+        pass
+    return result
 
 
 def _met(width: Fraction, config: SolverConfig) -> bool:
@@ -170,28 +174,62 @@ def _met(width: Fraction, config: SolverConfig) -> bool:
     return width <= config.epsilon
 
 
-def _solve_refine(
-    fn: Callable[[Fraction], Fraction],
-    a: Fraction,
-    b: Fraction,
-    g_a: Fraction,
-    g_b: Fraction,
-    config: SolverConfig,
-) -> FixPointResult:
-    lo, hi, g_lo, g_hi = a, b, g_a, g_b
+def refine_rounds(
+    f: Function, a: Fraction, b: Fraction, config: SolverConfig
+) -> Iterator[FixPointResult]:
+    """The refine mode as a stream: one result per round, the last is final.
+
+    First yields [a, b] itself as the round-0 bracket, then the bracket
+    after each refinement round, with rounds_used set to the round and
+    converged to whether the width target is met. An exactly fixed endpoint
+    or queried vertex is yielded as ExactVertex and ends the stream.
+    config.mode is not consulted. Raises ValueError unless a < b and
+    NonSelfMapError when the endpoint residuals show f escaping [a, b],
+    both on the first next().
+    """
+    if not a < b:
+        raise ValueError("requires a < b")
+    fn = as_function(f)
+    g_lo = fn(a) - a
+    g_hi = fn(b) - b
+    # Endpoints in scan order, matching label_by_sign on the same grid.
+    if g_lo == 0:
+        yield ExactVertex(a)
+        return
+    if g_lo < 0:
+        raise NonSelfMapError(f"f({a}) < {a}: map does not self-map the interval")
+    if g_hi == 0:
+        yield ExactVertex(b)
+        return
+    if g_hi > 0:
+        raise NonSelfMapError(f"f({b}) > {b}: map does not self-map the interval")
+    k = config.branching
+    lo, hi = a, b
     rounds = 0
-    while not _met(hi - lo, config) and rounds < config.max_rounds:
-        grid = make_uniform_grid(lo, hi, config.branching)
-        labeled = label_by_sign(grid, fn)
-        if isinstance(labeled, ExactVertex):
-            return labeled
-        i = find_transition_bisect(labeled)
-        lo, hi = grid.vertices[i - 1], grid.vertices[i]
-        g_lo, g_hi = fn(lo) - lo, fn(hi) - hi
+    while True:
+        if not g_lo > 0 > g_hi:
+            raise CertificateError(f"round {rounds}: residual signs lost at [{lo}, {hi}]")
+        met = _met(hi - lo, config)
+        yield CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=met)
+        if met or rounds == config.max_rounds:
+            return
+        # Bisect the vertex indices 0..k of make_uniform_grid(lo, hi, k),
+        # keeping label 0 (g > 0) at i and label 1 (g < 0) at j.
+        step = Fraction(hi - lo, k)
+        i, j = 0, k
+        while j - i > 1:
+            m = (i + j) // 2
+            x = lo + m * step
+            g = fn(x) - x
+            if g == 0:
+                yield ExactVertex(x)
+                return
+            if g > 0:
+                i, g_lo = m, g
+            else:
+                j, g_hi = m, g
+        lo, hi = lo + i * step, lo + j * step
         rounds += 1
-    return CertifiedBracket(
-        lo, hi, g_lo, g_hi, rounds_used=rounds, converged=_met(hi - lo, config)
-    )
 
 
 def _solve_single_grid(

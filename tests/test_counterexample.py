@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import spernerfix
 from spernerfix.counterexample import (
     RESIDUAL_FLOOR,
     assert_no_fixed_point,
@@ -98,3 +103,37 @@ class TestRunDemo:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             run_demo(0)
+
+
+_LYING_ORACLE = textwrap.dedent(
+    """
+    import sys
+    from spernerfix import CertificateError, counterexample
+
+    if not sys.flags.optimize:
+        sys.exit("not running under python -O")
+    real = counterexample.is_below_sqrt2
+    counterexample.is_below_sqrt2 = lambda q: not real(q)
+    try:
+        counterexample.run_demo(3)
+    except CertificateError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+    """
+)
+
+
+def test_checks_survive_python_O():
+    # With asserts stripped, a lying sqrt(2) oracle must still be caught.
+    src = os.path.dirname(os.path.dirname(spernerfix.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _LYING_ORACLE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "straddling sqrt(2)" in done.stdout

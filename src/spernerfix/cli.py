@@ -13,8 +13,9 @@ boundary as literal strings, never as native floats, including inside JSON;
 decimal renderings are exact truncations. Each invocation emits one
 well-formed JSON document in json mode and a header row in csv mode.
 
-Exit codes: 0 success; 1 malformed input; 2 boundary-condition or self-map
-violation; 3 bracket returned but unconverged (report still emitted).
+Exit codes: 0 success; 1 malformed input, including an expression nested too
+deeply to parse or evaluate; 2 boundary-condition or self-map violation; 3
+bracket returned but unconverged (report still emitted).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from .counterexample import CounterexampleReport, run_demo
 from .expr import parse
 from .plmap import pl_evaluate, pl_fixed_points, pl_from_labeling, pl_trace
-from .rationals import ParseError, decimal_string, parse_rational
+from .rationals import decimal_string, parse_rational
 from .solver import SolverConfig, solve
 from .sperner import (
     BoundaryConditionError,
@@ -44,6 +45,8 @@ from .sperner import (
 
 FORMATS = ("human", "json", "csv")
 FORMAT_ENV_VAR = "SPERNERFIX_FORMAT"
+# Every solve result is one CSV row under the same ten columns.
+_SOLVE_COLUMNS = "result,mode,rounds_used,converged,x,lo,hi,g_lo,g_hi,width".split(",")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -63,18 +66,17 @@ def _human(q: Fraction) -> str:
     return f"{q} ({decimal_string(q)})"
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
-
-
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(row))
-
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
+def _emit(fmt: str, doc, columns: list[str], rows: list[list[str]], lines: list[str]) -> None:
+    """Print one command's output in the chosen format: the JSON document,
+    the CSV header and rows, or the human lines."""
+    if fmt == "json":
+        print(json.dumps(doc, separators=(",", ":")))
+    elif fmt == "csv":
+        for row in (columns, *rows):
+            print(",".join(row))
+    else:
+        for line in lines:
+            print(line)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,40 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_sperner(args) -> int:
     labels = parse_labels(args.labels)
     labeling = Labeling(labels)
-    scan = find_transition_scan(labeling)
-    bis = find_transition_bisect(labeling)
-
-    grid = None
+    edges = {"scan": find_transition_scan(labeling), "bisect": find_transition_bisect(labeling)}
+    doc = dict(edges)
+    columns = list(edges)
+    row = [str(edge) for edge in edges.values()]
+    lines = [f"{name} edge: {edge}" for name, edge in edges.items()]
     if args.vertices is not None:
-        grid = Grid(parse_vertices(args.vertices))
-        if len(grid.vertices) != len(labels):
+        vertices = Grid(parse_vertices(args.vertices)).vertices
+        if len(vertices) != len(labels):
             raise ValueError("vertex count must match label count")
-
-    if args.format == "json":
-        doc = {"scan": scan, "bisect": bis}
-        if grid is not None:
-            doc["scan_edge"] = [str(grid.vertices[scan - 1]), str(grid.vertices[scan])]
-            doc["bisect_edge"] = [str(grid.vertices[bis - 1]), str(grid.vertices[bis])]
-        _print_json(doc)
-    elif args.format == "csv":
-        header = ["scan", "bisect"]
-        row = [str(scan), str(bis)]
-        if grid is not None:
-            header += ["scan_lo", "scan_hi", "bisect_lo", "bisect_hi"]
-            row += [
-                str(grid.vertices[scan - 1]),
-                str(grid.vertices[scan]),
-                str(grid.vertices[bis - 1]),
-                str(grid.vertices[bis]),
-            ]
-        _print_csv(header, [row])
-    else:
-        for name, edge in (("scan", scan), ("bisect", bis)):
-            line = f"{name} edge: {edge}"
-            if grid is not None:
-                lo, hi = grid.vertices[edge - 1], grid.vertices[edge]
-                line += f" [{_human(lo)}, {_human(hi)}]"
-            print(line)
+        for k, (name, edge) in enumerate(edges.items()):
+            lo, hi = vertices[edge - 1], vertices[edge]
+            doc[f"{name}_edge"] = [str(lo), str(hi)]
+            columns += [f"{name}_lo", f"{name}_hi"]
+            row += [str(lo), str(hi)]
+            lines[k] += f" [{_human(lo)}, {_human(hi)}]"
+    _emit(args.format, doc, columns, [row], lines)
     return 0
 
 
@@ -193,108 +177,60 @@ def cmd_solve(args) -> int:
     )
     result = solve(f, a, b, config)
 
+    # `fields` holds the CSV cells by column; the JSON document has the same
+    # keys in the same order, with typed values and decimal companions.
     if isinstance(result, ExactVertex):
-        if args.format == "json":
-            _print_json(
-                {
-                    "result": "exact",
-                    "mode": config.mode,
-                    "x": str(result.x),
-                    "x_decimal": decimal_string(result.x),
-                }
-            )
-        elif args.format == "csv":
-            _print_csv(
-                ["result", "mode", "rounds_used", "converged", "x", "lo", "hi", "g_lo", "g_hi", "width"],
-                [["exact", config.mode, "", "", str(result.x), "", "", "", "", ""]],
-            )
-        else:
-            print(f"exact fixed point: {_human(result.x)}")
-        return 0
-
-    bracket = result
-    if args.format == "json":
-        _print_json(
-            {
-                "result": "bracket",
-                "mode": config.mode,
-                "rounds_used": bracket.rounds_used,
-                "converged": bracket.converged,
-                "lo": str(bracket.lo),
-                "hi": str(bracket.hi),
-                "g_lo": str(bracket.g_lo),
-                "g_hi": str(bracket.g_hi),
-                "width": str(bracket.width),
-                "lo_decimal": decimal_string(bracket.lo),
-                "hi_decimal": decimal_string(bracket.hi),
-                "width_decimal": decimal_string(bracket.width),
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            ["result", "mode", "rounds_used", "converged", "x", "lo", "hi", "g_lo", "g_hi", "width"],
-            [
-                [
-                    "bracket",
-                    config.mode,
-                    str(bracket.rounds_used),
-                    _bool_text(bracket.converged),
-                    "",
-                    str(bracket.lo),
-                    str(bracket.hi),
-                    str(bracket.g_lo),
-                    str(bracket.g_hi),
-                    str(bracket.width),
-                ]
-            ],
-        )
+        fields = {"result": "exact", "mode": config.mode, "x": str(result.x)}
+        doc = {**fields, "x_decimal": decimal_string(result.x)}
+        lines = [f"exact fixed point: {_human(result.x)}"]
+        code = 0
     else:
-        print(f"mode: {config.mode}")
-        print(f"converged: {'yes' if bracket.converged else 'no'}")
-        print(f"rounds used: {bracket.rounds_used}")
-        print(f"lo = {_human(bracket.lo)}")
-        print(f"hi = {_human(bracket.hi)}")
-        print(f"g(lo) = {_human(bracket.g_lo)}")
-        print(f"g(hi) = {_human(bracket.g_hi)}")
-        print(f"width = {_human(bracket.width)}")
-    return 0 if bracket.converged else 3
+        values = {key: getattr(result, key) for key in ("lo", "hi", "g_lo", "g_hi", "width")}
+        fields = {
+            "result": "bracket",
+            "mode": config.mode,
+            "rounds_used": str(result.rounds_used),
+            "converged": str(result.converged).lower(),
+        }
+        fields.update((key, str(value)) for key, value in values.items())
+        doc = {**fields, "rounds_used": result.rounds_used, "converged": result.converged}
+        doc.update((f"{key}_decimal", decimal_string(values[key])) for key in ("lo", "hi", "width"))
+        lines = [
+            f"mode: {config.mode}",
+            f"converged: {'yes' if result.converged else 'no'}",
+            f"rounds used: {result.rounds_used}",
+        ]
+        lines += [
+            f"{label} = {_human(value)}"
+            for label, value in zip(("lo", "hi", "g(lo)", "g(hi)", "width"), values.values())
+        ]
+        code = 0 if result.converged else 3
+    _emit(args.format, doc, _SOLVE_COLUMNS, [[fields.get(c, "") for c in _SOLVE_COLUMNS]], lines)
+    return code
 
 
 def cmd_plmap(args) -> int:
-    labels = parse_labels(args.labels)
-    labeling = Labeling(labels)
-    grid = Grid(parse_vertices(args.vertices))
-    plmap = pl_from_labeling(grid, labeling)
+    labeling = Labeling(parse_labels(args.labels))
+    plmap = pl_from_labeling(Grid(parse_vertices(args.vertices)), labeling)
 
     if args.action == "eval":
         if args.x is None:
             raise ValueError("the eval action requires an evaluation point")
         x = parse_rational(args.x)
         value = pl_evaluate(plmap, x)
-        if args.format == "json":
-            _print_json({"x": str(x), "value": str(value), "value_decimal": decimal_string(value)})
-        elif args.format == "csv":
-            _print_csv(["x", "value"], [[str(x), str(value)]])
-        else:
-            print(f"value at {x}: {_human(value)}")
+        columns, rows = ["x", "value"], [[str(x), str(value)]]
+        doc = {"x": str(x), "value": str(value), "value_decimal": decimal_string(value)}
+        lines = [f"value at {x}: {_human(value)}"]
     elif args.action == "fixed-points":
         points = pl_fixed_points(plmap)
-        if args.format == "json":
-            _print_json([str(p) for p in points])
-        elif args.format == "csv":
-            _print_csv(["fixed_point"], [[str(p)] for p in points])
-        else:
-            for p in points:
-                print(_human(p))
+        doc = [str(p) for p in points]
+        columns, rows = ["fixed_point"], [[p] for p in doc]
+        lines = [_human(p) for p in points]
     else:
-        rows = pl_trace(plmap, args.resolution)
-        if args.format == "json":
-            _print_json([[str(x), str(y)] for x, y in rows])
-        elif args.format == "csv":
-            _print_csv(["x", "value"], [[str(x), str(y)] for x, y in rows])
-        else:
-            for x, y in rows:
-                print(f"{x} -> {y}")
+        doc = rows = [[str(x), str(y)] for x, y in pl_trace(plmap, args.resolution)]
+        columns = ["x", "value"]
+        lines = [f"{x} -> {y}" for x, y in rows]
+    _emit(args.format, doc, columns, rows, lines)
     return 0
 
 
@@ -318,27 +254,19 @@ def _report_record(report: CounterexampleReport) -> dict:
 
 
 def cmd_counterexample(args) -> int:
-    if args.depth < 1:
-        raise ValueError("depth must be at least 1")
     reports = run_demo(args.depth)
-    if args.format == "json":
-        _print_json([_report_record(r) for r in reports])
-    elif args.format == "csv":
-        _print_csv(
-            ["depth", "width", "abs_residual"],
-            [
-                [str(r.depth), str(r.bracket.width), str(abs(r.midpoint_residual))]
-                for r in reports
-            ],
+    doc = [_report_record(r) for r in reports]
+    rows, lines = [], []
+    for r, rec in zip(reports, doc):
+        abs_residual = abs(r.midpoint_residual)
+        rows.append([str(r.depth), rec["width"], str(abs_residual)])
+        lines.append(
+            f"round {r.depth}: bracket [{rec['lo']}, {rec['hi']}], "
+            f"width {rec['width']} ({rec['width_decimal']}), "
+            f"|g(midpoint)| {_human(abs_residual)}, "
+            f"straddles sqrt2: {'yes' if r.contains_sqrt2 else 'no'}"
         )
-    else:
-        for r in reports:
-            print(
-                f"round {r.depth}: bracket [{r.bracket.lo}, {r.bracket.hi}], "
-                f"width {_human(r.bracket.width)}, "
-                f"|g(midpoint)| {_human(abs(r.midpoint_residual))}, "
-                f"straddles sqrt2: {'yes' if r.contains_sqrt2 else 'no'}"
-            )
+    _emit(args.format, doc, ["depth", "width", "abs_residual"], rows, lines)
     return 0
 
 
@@ -350,17 +278,17 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (BoundaryConditionError, NonSelfMapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZeroDivisionError as exc:
         print(f"error: division by zero during evaluation: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 1
 
 

@@ -19,6 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import CertificateError
 from .sperner import Grid, Labeling
 
 
@@ -116,7 +117,8 @@ def pl_fixed_points(plmap: PLMap) -> list[Fraction]:
     for k in range(1, len(vertices)):
         r_left = values[k - 1] - vertices[k - 1]
         r_right = values[k] - vertices[k]
-        assert r_left != 0 and r_right != 0, "vertex image equals its vertex"
+        if r_left == 0 or r_right == 0:
+            raise CertificateError(f"a vertex of edge {k} is its own image")
         if (r_left > 0) != (r_right > 0):
             points.append(
                 vertices[k - 1] + r_left * (vertices[k] - vertices[k - 1]) / (r_left - r_right)
@@ -137,12 +139,13 @@ def theorem_roundtrip(grid: Grid, labeling: Labeling) -> list[FixedPointWitness]
     """Build the extension, find its fixed points, and check where they land.
 
     Every fixed point must lie strictly inside an edge whose endpoint labels
-    differ, and every such edge must contain exactly one. An AssertionError
+    differ, and every such edge must contain exactly one. A CertificateError
     here would falsify the implementation, not the underlying mathematics.
     """
     plmap = pl_from_labeling(grid, labeling)
     points = pl_fixed_points(plmap)
-    assert points, "boundary condition guarantees at least one fixed point"
+    if not points:
+        raise CertificateError("no fixed point, though the boundary condition guarantees one")
     labels = labeling.labels
     hetero_edges = {
         k for k in range(1, len(labels)) if labels[k - 1] != labels[k]
@@ -152,13 +155,14 @@ def theorem_roundtrip(grid: Grid, labeling: Labeling) -> list[FixedPointWitness]
     for x in points:
         k = _edge_index(grid, x)
         pair = (labels[k - 1], labels[k])
-        assert grid.vertices[k - 1] < x < grid.vertices[k], "fixed point not interior"
-        assert pair[0] != pair[1], "fixed point on a monochromatic edge"
+        if not grid.vertices[k - 1] < x < grid.vertices[k]:
+            raise CertificateError(f"fixed point {x} is not interior to edge {k}")
+        if pair[0] == pair[1]:
+            raise CertificateError(f"fixed point {x} lies on the monochromatic edge {k}")
         witnesses.append(FixedPointWitness(x, k, pair))
         seen.append(k)
-    assert sorted(seen) == sorted(hetero_edges), (
-        "hetero-labeled edges and fixed points do not correspond one-to-one"
-    )
+    if sorted(seen) != sorted(hetero_edges):
+        raise CertificateError("hetero-labeled edges and fixed points do not correspond one-to-one")
     return witnesses
 
 

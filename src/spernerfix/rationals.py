@@ -4,29 +4,16 @@ Every quantity in this package is a `fractions.Fraction`: arbitrary-precision
 numerator, positive denominator, always reduced to lowest terms. That makes
 every comparison and every certificate in the package an exact decision, never
 a floating-point approximation. This module adds the small amount of surface
-the rest of the package needs on top of the stdlib type: construction with
-explicit error handling, three-way comparison, an exact order test against
+the rest of the package needs on top of the stdlib type: the error raised when
+such a decision comes out against a certificate, an exact order test against
 sqrt(2), the text literal format used by the CLI, and display-only decimal
 rendering.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
-
-Rational = Fraction
-
-# Three-way comparison outcomes.
-LT, EQ, GT = -1, 0, 1
-
-_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
 
 # Literal grammar: optional sign, decimal integer, optional "/" and positive
 # decimal integer denominator. No whitespace anywhere inside the literal.
@@ -43,47 +30,25 @@ class ParseError(ValueError):
         self.position = position
 
 
-def normalize(num: int, den: int) -> Fraction:
-    """Canonical rational num/den: positive denominator, lowest terms.
+class CertificateError(AssertionError):
+    """An exactly decided claim of a certificate came out false.
 
-    Raises ValueError for a zero denominator.
+    That is an implementation bug, never bad input. The checks that raise it
+    are plain `if` tests, so unlike `assert` they also run under python -O.
     """
-    if den == 0:
-        raise ValueError("denominator must be nonzero")
-    return Fraction(num, den)
-
-
-def arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Exact field arithmetic; op is one of add, sub, mul, div.
-
-    Division by zero raises ZeroDivisionError.
-    """
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(a, b)
-
-
-def cmp(a: Fraction, b: Fraction) -> int:
-    """Three-way comparison: LT, EQ, or GT."""
-    if a < b:
-        return LT
-    if a > b:
-        return GT
-    return EQ
 
 
 def is_below_sqrt2(x: Fraction) -> bool:
     """True iff x < sqrt(2), decided exactly by squaring.
 
     Requires x > 0. The case x*x == 2 cannot occur for rational x (2 is not
-    a rational square) and is asserted unreachable.
+    a rational square); reaching it raises CertificateError.
     """
     if x <= 0:
         raise ValueError("is_below_sqrt2 requires a positive argument")
     sq = x * x
-    assert sq != 2, "no rational squares to 2"
+    if sq == 2:
+        raise CertificateError(f"{x} squares to 2, but no rational does")
     return sq < 2
 
 
@@ -97,12 +62,10 @@ def parse_rational(text: str) -> Fraction:
     if not _LITERAL_RE.match(text):
         raise ParseError(f"invalid rational literal {text!r}")
     num_text, _, den_text = text.partition("/")
-    if den_text:
-        den = int(den_text)
-        if den == 0:
-            raise ParseError(f"zero denominator in rational literal {text!r}")
-        return normalize(int(num_text), den)
-    return Fraction(int(num_text))
+    den = int(den_text or 1)
+    if den == 0:
+        raise ParseError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(num_text), den)
 
 
 def decimal_string(q: Fraction, digits: int = 12) -> str:

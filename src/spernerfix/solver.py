@@ -23,9 +23,13 @@ Two modes:
   ExactVertex is returned when some *queried* vertex is exactly fixed; at
   branching 2 that is every vertex of the sub-grid, at larger branching
   the unqueried vertices are never evaluated.
-* ``single_grid``: build one uniform grid fine enough that the spacing is
-  below delta = min(epsilon/L, epsilon * (1 - 1/branching)) and return the
-  first transition edge. Requires a declared Lipschitz bound.
+* ``single_grid``: scan one uniform grid fine enough that the spacing is
+  below delta = min(epsilon/L, epsilon * (1 - 1/branching)) from the left,
+  evaluating each vertex once, and stop at the first transition edge.
+  Requires a declared Lipschitz bound. The endpoint residuals come from the
+  same checks as refine mode. ExactVertex is returned when a vertex up to
+  the first transition is exactly fixed; the vertices after it are never
+  evaluated, so a fixed point or a division by zero there goes unseen.
 """
 
 from __future__ import annotations
@@ -35,26 +39,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Literal, Union
 
 from .expr import Expr, as_function
-from .sperner import (
-    ExactVertex,
-    Labeling,
-    NonSelfMapError,
-    find_transition_scan,
-    label_by_sign,
-    make_uniform_grid,
-)
+from .rationals import CertificateError
+from .sperner import ExactVertex, NonSelfMapError
 
 Mode = Literal["refine", "single_grid"]
 
 Function = Union[Expr, Callable[[Fraction], Fraction]]
-
-
-class CertificateError(AssertionError):
-    """An exactly decided claim of a certificate came out false.
-
-    That is an implementation bug, never bad input. The checks that raise it
-    are plain `if` tests, so unlike `assert` they also run under python -O.
-    """
 
 
 @dataclass(frozen=True)
@@ -157,12 +147,13 @@ def solve(
     Returns ExactVertex when some examined grid vertex is exactly fixed,
     otherwise a CertifiedBracket. Raises NonSelfMapError when the endpoint
     residuals show f escaping the interval. Refine mode returns the last
-    result of refine_rounds; single_grid mode only takes its endpoint checks.
+    result of refine_rounds; single_grid mode only takes its round 0, the
+    endpoint checks and residuals, and scans from there.
     """
     rounds = refine_rounds(f, a, b, config)
     result = next(rounds)
     if config.mode == "single_grid" and isinstance(result, CertifiedBracket):
-        return _solve_single_grid(as_function(f), a, b, config)
+        return _solve_single_grid(as_function(f), result, config)
     for result in rounds:
         pass
     return result
@@ -234,8 +225,7 @@ def refine_rounds(
 
 def _solve_single_grid(
     fn: Callable[[Fraction], Fraction],
-    a: Fraction,
-    b: Fraction,
+    start: CertifiedBracket,
     config: SolverConfig,
 ) -> FixPointResult:
     if config.lipschitz is None:
@@ -243,14 +233,18 @@ def _solve_single_grid(
     # Grid spacing below delta, with delta capped strictly below epsilon.
     cap = config.epsilon * (1 - Fraction(1, config.branching))
     delta = min(config.epsilon / config.lipschitz, cap)
+    a, b = start.lo, start.hi
     n = archimedean_n(delta, a, b)
-    grid = make_uniform_grid(a, b, n)
-    labeled = label_by_sign(grid, fn)
-    if isinstance(labeled, ExactVertex):
-        return labeled
-    assert isinstance(labeled, Labeling)
-    i = find_transition_scan(labeled)
-    lo, hi = grid.vertices[i - 1], grid.vertices[i]
-    return CertifiedBracket(
-        lo, hi, fn(lo) - lo, fn(hi) - hi, rounds_used=1, converged=True
-    )
+    step = Fraction(b - a, n)
+    # Scan the vertices of make_uniform_grid(a, b, n) up to the first with
+    # g <= 0; the last vertex is b, whose residual g_hi < 0 is already known.
+    lo, g_lo = a, start.g_lo
+    for i in range(1, n):
+        x = a + i * step
+        g = fn(x) - x
+        if g == 0:
+            return ExactVertex(x)
+        if g < 0:
+            return CertifiedBracket(lo, x, g_lo, g, rounds_used=1, converged=True)
+        lo, g_lo = x, g
+    return CertifiedBracket(lo, b, g_lo, start.g_hi, rounds_used=1, converged=True)

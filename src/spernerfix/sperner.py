@@ -157,14 +157,7 @@ def verify_sperner(labels: Sequence[int]) -> bool:
     does not satisfy the boundary condition (that is a precondition failure,
     not a Sperner failure), ValueError for values outside {0, 1}.
     """
-    if len(labels) < 2:
-        raise ValueError("need at least two labels")
-    if any(v not in (0, 1) for v in labels):
-        raise ValueError("labels must be 0 or 1")
-    if labels[0] != 0 or labels[-1] != 1:
-        raise BoundaryConditionError(
-            "boundary condition violated: labels must start with 0 and end with 1"
-        )
+    Labeling(labels)
     return any(labels[i - 1] != labels[i] for i in range(1, len(labels)))
 
 

@@ -120,6 +120,20 @@ class TestSolve:
         assert stdout == ""
         assert "position" in stderr
 
+    @pytest.mark.parametrize(
+        "argv,stdin_text",
+        [
+            (["solve", "-", "0", "1"], "(" * 2000 + "x" + ")" * 2000),  # deep in the parser
+            (["solve", "+".join(["x/5000"] * 5000), "0", "1"], None),  # deep in evaluate
+        ],
+        ids=["2000 nested parentheses on stdin", "5000-term sum"],
+    )
+    def test_deep_input_exit_1(self, argv, stdin_text):
+        code, stdout, stderr = run_cli(argv, stdin_text=stdin_text)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: expression nested too deeply\n"
+
     def test_bad_endpoint_literal(self):
         code, _, stderr = run_cli(["solve", "x", "0", "1.5"])
         assert code == 1

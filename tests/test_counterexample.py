@@ -1,13 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
 
-import spernerfix
+from conftest import run_python_O
 from spernerfix.counterexample import (
     RESIDUAL_FLOOR,
     assert_no_fixed_point,
@@ -126,14 +123,6 @@ _LYING_ORACLE = textwrap.dedent(
 
 def test_checks_survive_python_O():
     # With asserts stripped, a lying sqrt(2) oracle must still be caught.
-    src = os.path.dirname(os.path.dirname(spernerfix.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _LYING_ORACLE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = run_python_O(_LYING_ORACLE)
     assert done.returncode == 0, done.stderr
     assert "straddling sqrt(2)" in done.stdout

@@ -1,10 +1,12 @@
 import random
+import textwrap
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
 import pytest
 
+from conftest import run_python_O
 from spernerfix.plmap import (
     DiscreteMap,
     FixedPointWitness,
@@ -216,6 +218,47 @@ class TestTheoremRoundtrip:
             for w in theorem_roundtrip(grid, labeling):
                 midpoint = (grid.vertices[w.edge - 1] + grid.vertices[w.edge]) / 2
                 assert w.fixed_point == midpoint
+
+
+_LYING_FIXED_POINTS = textwrap.dedent(
+    """
+    import sys
+    from fractions import Fraction
+    from spernerfix import CertificateError, plmap
+    from spernerfix.sperner import Grid, Labeling
+
+    if not sys.flags.optimize:
+        sys.exit("not running under python -O")
+    grid = Grid(tuple(Fraction(i) for i in range(4)))
+    labeling = Labeling((0, 1, 1, 1))  # one hetero edge, 1, holding 1/2
+    real = plmap.pl_fixed_points
+    fakes = [
+        lambda pl: [],  # no fixed point at all
+        lambda pl: [Fraction(1)],  # a vertex, not interior to its edge
+        lambda pl: [Fraction(5, 2)],  # inside the monochromatic edge 3
+        lambda pl: real(pl) * 2,  # edge 1 twice
+    ]
+    for fake in fakes:
+        plmap.pl_fixed_points = fake
+        try:
+            plmap.theorem_roundtrip(grid, labeling)
+        except CertificateError as exc:
+            print(exc)
+    plmap.pl_fixed_points = real
+    try:  # vertex 1 is its own image
+        real(plmap.PLMap(grid, tuple(Fraction(v) for v in (1, 1, 1, 2))))
+    except CertificateError as exc:
+        print(exc)
+    """
+)
+
+
+def test_checks_survive_python_O():
+    # With asserts stripped, every check of theorem_roundtrip and
+    # pl_fixed_points must still catch a lying fixed-point list.
+    done = run_python_O(_LYING_FIXED_POINTS)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 5, done.stdout
 
 
 class TestSolverCrossCheck:

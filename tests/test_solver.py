@@ -18,6 +18,7 @@ from spernerfix.sperner import (
     ExactVertex,
     NonSelfMapError,
     find_transition_bisect,
+    find_transition_scan,
     label_by_sign,
     make_uniform_grid,
 )
@@ -258,6 +259,55 @@ class TestSolveSingleGrid:
                 )
 
 
+    def single_grid_cases(self):
+        for f, a, b, lips, _ in LIPSCHITZ_CORPUS:
+            for epsilon in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
+                for k in (2, 3):
+                    config = SolverConfig(
+                        epsilon=epsilon, lipschitz=lips, branching=k, mode="single_grid"
+                    )
+                    yield f, a, b, config
+
+    def test_matches_eager_reference(self):
+        for f, a, b, config in self.single_grid_cases():
+            assert solve(f, a, b, config) == eager_single_grid(f, a, b, config)
+
+    def test_readme_map_costs_1175_evaluations(self):
+        f = Counted(parse("(x*x + 2)/4"))
+        config = SolverConfig(
+            epsilon=Fraction(1, 1000), lipschitz=Fraction(1, 2), mode="single_grid"
+        )
+        result = solve(f, Fraction(0), Fraction(1), config)
+        assert result == CertifiedBracket(
+            Fraction(1172, 2001),
+            Fraction(17, 29),
+            Fraction(449, 8008002),
+            Fraction(-1, 3364),
+            rounds_used=1,
+        )
+        # both endpoints, then vertices 1..1173 of the 2001-edge grid
+        assert len(f.points) == len(set(f.points)) == 1175
+
+    def test_scan_stops_at_first_transition(self):
+        # epsilon 4/39 and L = 1 give the grid i/20. The first transition is
+        # [3/10, 7/20] around 1/3; the vertex 1/2 after it is exactly fixed,
+        # and 3/4 divides by zero. Neither is evaluated.
+        config = SolverConfig(
+            epsilon=Fraction(4, 39), lipschitz=Fraction(1), mode="single_grid"
+        )
+        a, b = Fraction(0), Fraction(1)
+        bracket = (Fraction(3, 10), Fraction(7, 20))
+        fixed_later = parse("x + (1/3 - x)*(1/2 - x)*(3/4 - x)")
+        assert eager_single_grid(fixed_later, a, b, config) == ExactVertex(Fraction(1, 2))
+        result = solve(fixed_later, a, b, config)
+        assert (result.lo, result.hi) == bracket
+        undefined_later = parse("x + (1/3 - x) + 0/(4*x - 3)")
+        with pytest.raises(ZeroDivisionError):
+            eager_single_grid(undefined_later, a, b, config)
+        result = solve(undefined_later, a, b, config)
+        assert (result.lo, result.hi) == bracket
+
+
 class TestResidualBound:
     def test_examples(self):
         b1 = CertifiedBracket(Fraction(0), Fraction(1, 100), Fraction(1), Fraction(-1), 1)
@@ -316,6 +366,19 @@ def eager_solve(f, a, b, config):
         g_lo, g_hi = residual(f, lo), residual(f, hi)
         rounds += 1
     return CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=met(hi - lo))
+
+
+def eager_single_grid(f, a, b, config):
+    """Reference single_grid mode: label every vertex of the grid, then scan."""
+    cap = config.epsilon * (1 - Fraction(1, config.branching))
+    n = archimedean_n(min(config.epsilon / config.lipschitz, cap), a, b)
+    grid = make_uniform_grid(a, b, n)
+    labeled = label_by_sign(grid, f)
+    if isinstance(labeled, ExactVertex):
+        return labeled
+    i = find_transition_scan(labeled)
+    lo, hi = grid.vertices[i - 1], grid.vertices[i]
+    return CertifiedBracket(lo, hi, residual(f, lo), residual(f, hi), rounds_used=1)
 
 
 def outcome(call):

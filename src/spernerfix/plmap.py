@@ -22,6 +22,9 @@ from fractions import Fraction
 from .rationals import CertificateError
 from .sperner import Grid, Labeling
 
+# The most rows pl_trace returns; a larger trace is refused with ValueError.
+TRACE_ROW_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class DiscreteMap:
@@ -109,20 +112,27 @@ def pl_fixed_points(plmap: PLMap) -> list[Fraction]:
 
     The per-edge residual is linear with nonzero values at both endpoints
     (vertex images never coincide with their vertex), so each edge holds at
-    most one fixed point, always strictly interior.
+    most one fixed point, always strictly interior. A residual's sign comes
+    from comparing a vertex with its image; residuals are formed only on the
+    edges where that sign changes.
     """
     vertices = plmap.grid.vertices
     values = plmap.value_at_vertex
     points: list[Fraction] = []
+    x_left, y_left = vertices[0], values[0]
+    if y_left == x_left:
+        raise CertificateError("a vertex of edge 1 is its own image")
+    left_above = y_left > x_left
     for k in range(1, len(vertices)):
-        r_left = values[k - 1] - vertices[k - 1]
-        r_right = values[k] - vertices[k]
-        if r_left == 0 or r_right == 0:
+        x_right, y_right = vertices[k], values[k]
+        if y_right == x_right:
             raise CertificateError(f"a vertex of edge {k} is its own image")
-        if (r_left > 0) != (r_right > 0):
-            points.append(
-                vertices[k - 1] + r_left * (vertices[k] - vertices[k - 1]) / (r_left - r_right)
-            )
+        right_above = y_right > x_right
+        if left_above != right_above:
+            r_left = y_left - x_left
+            r_right = y_right - x_right
+            points.append(x_left + r_left * (x_right - x_left) / (r_left - r_right))
+        x_left, y_left, left_above = x_right, y_right, right_above
     return points
 
 
@@ -170,16 +180,27 @@ def pl_trace(plmap: PLMap, samples_per_edge: int = 8) -> list[tuple[Fraction, Fr
     """Exact (x, value) samples along each edge, for external plotting.
 
     Emits samples_per_edge points per edge plus the final vertex; every
-    vertex is included, so the breakpoints are preserved.
+    vertex is included, so the breakpoints are preserved. Sample t of edge
+    k is (v[k-1] + span*t/s, y[k-1] + rise*t/s): one pass over the edges,
+    linear in the rows returned. More than TRACE_ROW_BUDGET rows are refused
+    before any row is built.
     """
     if samples_per_edge < 1:
         raise ValueError("samples_per_edge must be at least 1")
     vertices = plmap.grid.vertices
+    values = plmap.value_at_vertex
+    row_count = samples_per_edge * (len(vertices) - 1) + 1
+    if row_count > TRACE_ROW_BUDGET:
+        raise ValueError(
+            f"a trace of {row_count} rows exceeds the budget of {TRACE_ROW_BUDGET} rows"
+        )
+    steps = [Fraction(t, samples_per_edge) for t in range(1, samples_per_edge)]
     rows = []
     for k in range(1, len(vertices)):
-        span = vertices[k] - vertices[k - 1]
-        for t in range(samples_per_edge):
-            x = vertices[k - 1] + span * Fraction(t, samples_per_edge)
-            rows.append((x, pl_evaluate(plmap, x)))
-    rows.append((vertices[-1], plmap.value_at_vertex[-1]))
+        x_left, y_left = vertices[k - 1], values[k - 1]
+        span = vertices[k] - x_left
+        rise = values[k] - y_left
+        rows.append((x_left, y_left))
+        rows.extend((x_left + span * step, y_left + rise * step) for step in steps)
+    rows.append((vertices[-1], values[-1]))
     return rows

@@ -114,6 +114,31 @@ _PLMAP_TRACE_8_CSV = (
     "3,2\n"
 )
 
+# A non-uniform rational grid with three transitions: trace samples are not
+# integer vertices, so the per-edge arithmetic shows in every row.
+_NON_UNIFORM = ["plmap", "0,1,1,0,1", "--vertices=-1/3,1/2,5/7,2,9/4"]
+
+_NON_UNIFORM_TRACE_1 = [("-1/3", "1/2"), ("1/2", "-1/3"), ("5/7", "1/2"), ("2", "9/4"), ("9/4", "2")]
+
+_NON_UNIFORM_TRACE_3 = [
+    ("-1/3", "1/2"), ("-1/18", "2/9"), ("2/9", "-1/18"),
+    ("1/2", "-1/3"), ("4/7", "-1/18"), ("9/14", "2/9"),
+    ("5/7", "1/2"), ("8/7", "13/12"), ("11/7", "5/3"),
+    ("2", "9/4"), ("25/12", "13/6"), ("13/6", "25/12"),
+    ("9/4", "2"),
+]
+
+
+def _trace_goldens(resolution: str, rows: list[tuple[str, str]]) -> list[tuple[list[str], int, str]]:
+    """The human, json and csv transcripts of one trace, from the same rows."""
+    argv = [*_NON_UNIFORM, "trace", "--resolution", resolution]
+    return [
+        (argv, 0, "".join(f"{x} -> {y}\n" for x, y in rows)),
+        ([*argv, "--format", "json"], 0, "[" + ",".join(f'["{x}","{y}"]' for x, y in rows) + "]\n"),
+        ([*argv, "--format", "csv"], 0, "x,value\n" + "".join(f"{x},{y}\n" for x, y in rows)),
+    ]
+
+
 _COUNTEREXAMPLE_3_JSON = (
     '[{"depth":1,"lo":"1","lo_decimal":"1.000000000000","hi":"3/2","hi_decimal":"1.500000000000",'
     '"g_lo":"1","g_lo_decimal":"1.000000000000","g_hi":"-1/2","g_hi_decimal":"-0.500000000000",'
@@ -264,4 +289,7 @@ GOLDEN_TRANSCRIPTS: list[tuple[list[str], int, str]] = [
         _PLMAP_TRACE_8_CSV,
     ),
     (["counterexample", "--depth", "3", "--format", "json"], 0, _COUNTEREXAMPLE_3_JSON),
+    *_trace_goldens("1", _NON_UNIFORM_TRACE_1),
+    *_trace_goldens("3", _NON_UNIFORM_TRACE_3),
+    ([*_NON_UNIFORM, "fixed-points", "--format", "json"], 0, '["1/12","17/13","17/8"]\n'),
 ]

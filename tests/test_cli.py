@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GOLDEN_TRANSCRIPTS, run_cli
+from spernerfix import plmap
 from spernerfix.rationals import parse_rational
 
 
@@ -215,6 +216,20 @@ class TestPlmap:
         )
         assert code == 0
         assert stdout == "x,value\n0,1\n1/2,1/2\n1,0\n"
+
+    def test_trace_over_row_budget_exit_1(self, monkeypatch):
+        # The budget is checked before any row is built: a Fraction built in
+        # plmap would raise RuntimeError here, not the refusal.
+        def no_rows(*args):
+            raise RuntimeError("a trace row was built")
+
+        monkeypatch.setattr(plmap, "Fraction", no_rows)
+        code, stdout, stderr = run_cli(
+            ["plmap", "0,1", "--vertices", "0,1", "trace", "--resolution", "1000000000"]
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "exceeds the budget" in stderr
 
     def test_eval_requires_point(self):
         code, _, stderr = run_cli(["plmap", "0,1", "--vertices", "0,1", "eval"])

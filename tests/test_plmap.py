@@ -7,7 +7,9 @@ from itertools import product
 import pytest
 
 from conftest import run_python_O
+from spernerfix import plmap as plmap_module
 from spernerfix.plmap import (
+    TRACE_ROW_BUDGET,
     DiscreteMap,
     FixedPointWitness,
     PLMap,
@@ -19,6 +21,7 @@ from spernerfix.plmap import (
     pl_trace,
     theorem_roundtrip,
 )
+from spernerfix.rationals import CertificateError
 from spernerfix.solver import CertifiedBracket, SolverConfig, solve
 from spernerfix.sperner import ExactVertex, Grid, Labeling
 
@@ -42,6 +45,57 @@ def random_grid(rng, n):
         x += Fraction(rng.randint(1, 30), rng.randint(1, 10))
         vertices.append(x)
     return Grid(tuple(vertices))
+
+
+def seeded_plmaps(seed, count):
+    """PLMaps on non-uniform grids: half from labelings, half sending each
+    vertex to any grid vertex, not only a neighbour (self-images included)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        grid = random_grid(rng, rng.randint(1, 12))
+        if i % 2:
+            yield PLMap(grid, tuple(rng.choice(grid.vertices) for _ in grid.vertices))
+        else:
+            labeling = Labeling((0, *(rng.randint(0, 1) for _ in range(grid.n - 1)), 1))
+            yield pl_from_labeling(grid, labeling)
+
+
+def reference_trace(plmap, samples_per_edge):
+    """Every sample located by search and evaluated as a convex combination."""
+    vertices = plmap.grid.vertices
+    rows = []
+    for k in range(1, len(vertices)):
+        span = vertices[k] - vertices[k - 1]
+        for t in range(samples_per_edge):
+            x = vertices[k - 1] + span * Fraction(t, samples_per_edge)
+            rows.append((x, pl_evaluate(plmap, x)))
+    rows.append((vertices[-1], plmap.value_at_vertex[-1]))
+    return rows
+
+
+def reference_fixed_points(plmap):
+    """Both residuals of every edge subtracted, then the sign test."""
+    vertices = plmap.grid.vertices
+    values = plmap.value_at_vertex
+    points = []
+    for k in range(1, len(vertices)):
+        r_left = values[k - 1] - vertices[k - 1]
+        r_right = values[k] - vertices[k]
+        if r_left == 0 or r_right == 0:
+            raise CertificateError(f"a vertex of edge {k} is its own image")
+        if (r_left > 0) != (r_right > 0):
+            points.append(
+                vertices[k - 1] + r_left * (vertices[k] - vertices[k - 1]) / (r_left - r_right)
+            )
+    return points
+
+
+def outcome(fn, *args):
+    """A function's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (CertificateError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestDiscreteMap:
@@ -152,6 +206,30 @@ class TestPLFixedPoints:
             assert points
             for p in points:
                 assert pl_evaluate(plmap, p) == p
+
+    def test_matches_reference(self):
+        checked = 0
+        for plmap in seeded_plmaps(31, 120):
+            expected = outcome(reference_fixed_points, plmap)
+            assert outcome(pl_fixed_points, plmap) == expected
+            checked += isinstance(expected, list)
+        assert checked > 60  # the self-image branch alone would prove little
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_self_image_names_the_reference_edge(self, n):
+        # Vertex 0 is reported on edge 1, vertex j on edge j (its left edge),
+        # and the last vertex n on edge n.
+        grid = integer_grid(n)
+        base = pl_from_labeling(grid, Labeling((0,) * n + (1,))).value_at_vertex
+        for j in range(n + 1):
+            values = list(base)
+            values[j] = grid.vertices[j]
+            plmap = PLMap(grid, values)
+            message = f"a vertex of edge {max(j, 1)} is its own image"
+            with pytest.raises(CertificateError) as exc:
+                pl_fixed_points(plmap)
+            assert str(exc.value) == message
+            assert outcome(reference_fixed_points, plmap) == (CertificateError, message)
 
 
 class TestEdgeResidualSigns:
@@ -304,3 +382,40 @@ class TestTrace:
         plmap = pl_from_labeling(integer_grid(2), Labeling((0, 0, 1)))
         with pytest.raises(ValueError):
             pl_trace(plmap, samples_per_edge=0)
+
+    @pytest.mark.parametrize("samples_per_edge", range(1, 10))
+    def test_matches_reference(self, samples_per_edge):
+        for plmap in seeded_plmaps(40 + samples_per_edge, 30):
+            rows = pl_trace(plmap, samples_per_edge)
+            assert rows == reference_trace(plmap, samples_per_edge)
+            assert all(type(x) is type(y) is Fraction for x, y in rows)
+
+    def test_no_per_sample_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("pl_trace located a sample by search")
+
+        plmap = next(seeded_plmaps(50, 1))
+        expected = reference_trace(plmap, 5)
+        monkeypatch.setattr(plmap_module, "_edge_index", no_search)
+        monkeypatch.setattr(plmap_module, "pl_evaluate", no_search)
+        assert pl_trace(plmap, 5) == expected
+
+    def test_row_budget_boundary(self, monkeypatch):
+        # samples_per_edge * edges + 1 rows: 3 * 2 + 1 = 7 fit a budget of 7.
+        plmap = pl_from_labeling(integer_grid(2), Labeling((0, 0, 1)))
+        monkeypatch.setattr(plmap_module, "TRACE_ROW_BUDGET", 7)
+        assert len(pl_trace(plmap, 3)) == 7
+        with pytest.raises(ValueError, match="9 rows exceeds the budget of 7"):
+            pl_trace(plmap, 4)
+
+    def test_rejects_over_budget_before_building_rows(self, monkeypatch):
+        def no_rows(*args):
+            raise RuntimeError("a trace row was built")
+
+        plmap = pl_from_labeling(integer_grid(1), Labeling((0, 1)))
+        monkeypatch.setattr(plmap_module, "Fraction", no_rows)
+        assert TRACE_ROW_BUDGET == 10**6
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            pl_trace(plmap, TRACE_ROW_BUDGET)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            pl_trace(plmap, 10**18)

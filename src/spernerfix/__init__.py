@@ -28,13 +28,10 @@ from .expr import (
     to_text,
 )
 from .plmap import (
-    DiscreteMap,
     FixedPointWitness,
     PLMap,
-    discrete_from_labeling,
     pl_evaluate,
     pl_fixed_points,
-    pl_from_discrete,
     pl_from_labeling,
     pl_trace,
     theorem_roundtrip,
@@ -66,12 +63,10 @@ from .sperner import (
     find_transition_bisect_counted,
     find_transition_scan,
     label_by_sign,
-    labels_to_text,
     make_uniform_grid,
     parse_labels,
     parse_vertices,
     verify_sperner,
-    vertices_to_text,
 )
 
 __version__ = "0.1.0"
@@ -94,13 +89,10 @@ __all__ = [
     "evaluate",
     "parse",
     "to_text",
-    "DiscreteMap",
     "FixedPointWitness",
     "PLMap",
-    "discrete_from_labeling",
     "pl_evaluate",
     "pl_fixed_points",
-    "pl_from_discrete",
     "pl_from_labeling",
     "pl_trace",
     "theorem_roundtrip",
@@ -126,10 +118,8 @@ __all__ = [
     "find_transition_bisect_counted",
     "find_transition_scan",
     "label_by_sign",
-    "labels_to_text",
     "make_uniform_grid",
     "parse_labels",
     "parse_vertices",
     "verify_sperner",
-    "vertices_to_text",
 ]

@@ -120,9 +120,17 @@ def to_text(e: Expr) -> str:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text; raises ParseError with a position on bad input."""
+    """Parse expression text; raises ParseError with a position on bad input.
+
+    Input nested deeper than the interpreter's recursion limit allows, such
+    as 2000 nested parentheses, raises ParseError("expression nested too
+    deeply").
+    """
     parser = _Parser(text)
-    e = parser.parse_expr()
+    try:
+        e = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise ParseError("unexpected trailing input", parser.pos)

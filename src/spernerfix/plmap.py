@@ -1,8 +1,9 @@
-"""Discrete vertex maps and their piecewise-linear extensions.
+"""Vertex maps of a grid and their piecewise-linear extensions.
 
-From a labeled grid, build the discrete map sending a 0-labeled vertex one
-step right and a 1-labeled vertex one step left. The boundary condition
-keeps every image on the grid, so no sentinel vertices are needed. The map
+A PLMap is a grid plus one target vertex index per vertex. From a labeled
+grid, pl_from_labeling builds the map sending a 0-labeled vertex one step
+right and a 1-labeled vertex one step left. The boundary condition keeps
+every target on the grid, so no sentinel vertices are needed. The map
 extends to the whole interval by linear interpolation along each edge, and
 its fixed points can be computed exactly edge by edge: a hetero-labeled edge
 contains exactly one, strictly interior, while a monochromatic edge pushes
@@ -16,7 +17,7 @@ module, so the two can be cross-checked against each other.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import CertificateError
@@ -27,61 +28,38 @@ TRACE_ROW_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
-class DiscreteMap:
-    """A map vertex -> vertex given by per-vertex target indices.
+class PLMap:
+    """A vertex map of a grid and its piecewise-linear interpolant.
 
-    Every target is one step left or right of its vertex and stays on the
-    grid (closure).
+    Vertex j maps to vertex target_index[j] of the same grid, so every
+    image is a grid vertex by construction. value_at_vertex holds those
+    images and is what the interpolant reads.
     """
 
     grid: Grid
     target_index: tuple[int, ...]
+    value_at_vertex: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "target_index", tuple(self.target_index))
-        n = len(self.grid.vertices)
-        if len(self.target_index) != n:
+        targets = tuple(self.target_index)
+        vertices = self.grid.vertices
+        if len(targets) != len(vertices):
             raise ValueError("one target per grid vertex required")
-        for j, t in enumerate(self.target_index):
-            if t not in (j - 1, j + 1):
-                raise ValueError(f"target of vertex {j} must be {j - 1} or {j + 1}")
-            if not 0 <= t < n:
-                raise ValueError(f"target of vertex {j} leaves the grid")
-
-
-@dataclass(frozen=True)
-class PLMap:
-    """Piecewise-linear interpolant of per-vertex grid values."""
-
-    grid: Grid
-    value_at_vertex: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "value_at_vertex", tuple(self.value_at_vertex))
-        if len(self.value_at_vertex) != len(self.grid.vertices):
-            raise ValueError("one value per grid vertex required")
-        vertex_set = set(self.grid.vertices)
-        if any(v not in vertex_set for v in self.value_at_vertex):
-            raise ValueError("vertex values must themselves be grid vertices")
-
-
-def discrete_from_labeling(grid: Grid, labeling: Labeling) -> DiscreteMap:
-    """Label 0 sends a vertex right, label 1 sends it left."""
-    if len(labeling.labels) != len(grid.vertices):
-        raise ValueError("labeling and grid sizes differ")
-    targets = tuple(
-        j + 1 if lab == 0 else j - 1 for j, lab in enumerate(labeling.labels)
-    )
-    return DiscreteMap(grid, targets)
-
-
-def pl_from_discrete(dmap: DiscreteMap) -> PLMap:
-    vertices = dmap.grid.vertices
-    return PLMap(dmap.grid, tuple(vertices[t] for t in dmap.target_index))
+        for j, t in enumerate(targets):
+            if type(t) is not int or not 0 <= t < len(vertices):
+                raise ValueError(
+                    f"target of vertex {j} must be a vertex index in 0..{len(vertices) - 1}"
+                )
+        object.__setattr__(self, "target_index", targets)
+        object.__setattr__(self, "value_at_vertex", tuple(vertices[t] for t in targets))
 
 
 def pl_from_labeling(grid: Grid, labeling: Labeling) -> PLMap:
-    return pl_from_discrete(discrete_from_labeling(grid, labeling))
+    """Label 0 sends a vertex one step right, label 1 one step left."""
+    if len(labeling.labels) != len(grid.vertices):
+        raise ValueError("labeling and grid sizes differ")
+    targets = tuple(j + 1 if lab == 0 else j - 1 for j, lab in enumerate(labeling.labels))
+    return PLMap(grid, targets)
 
 
 def _edge_index(grid: Grid, x: Fraction) -> int:

@@ -30,6 +30,8 @@ Two modes:
   same checks as refine mode. ExactVertex is returned when a vertex up to
   the first transition is exactly fixed; the vertices after it are never
   evaluated, so a fixed point or a division by zero there goes unseen.
+  A grid of more than SINGLE_GRID_BUDGET edges is refused with ValueError
+  before any vertex past the endpoints is evaluated.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ from .sperner import ExactVertex, NonSelfMapError
 Mode = Literal["refine", "single_grid"]
 
 Function = Union[Expr, Callable[[Fraction], Fraction]]
+
+# The most edges a single_grid scan may have; a finer grid is refused with
+# ValueError.
+SINGLE_GRID_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -235,6 +241,10 @@ def _solve_single_grid(
     delta = min(config.epsilon / config.lipschitz, cap)
     a, b = start.lo, start.hi
     n = archimedean_n(delta, a, b)
+    if n > SINGLE_GRID_BUDGET:
+        raise ValueError(
+            f"a single_grid scan of {n} edges exceeds the budget of {SINGLE_GRID_BUDGET} edges"
+        )
     step = Fraction(b - a, n)
     # Scan the vertices of make_uniform_grid(a, b, n) up to the first with
     # g <= 0; the last vertex is b, whose residual g_hi < 0 is already known.

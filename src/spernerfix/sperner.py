@@ -161,8 +161,8 @@ def verify_sperner(labels: Sequence[int]) -> bool:
     return any(labels[i - 1] != labels[i] for i in range(1, len(labels)))
 
 
-# Text forms used by the CLI and golden tests: labels as "0,0,1,1" and
-# vertices as a CSV of rational literals such as "0,1/2,1".
+# Text forms the CLI reads: labels as "0,0,1,1" and vertices as a CSV of
+# rational literals such as "0,1/2,1".
 
 def parse_labels(text: str) -> tuple[int, ...]:
     parts = text.split(",")
@@ -174,13 +174,5 @@ def parse_labels(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def labels_to_text(labels: Sequence[int]) -> str:
-    return ",".join(str(v) for v in labels)
-
-
 def parse_vertices(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
-
-
-def vertices_to_text(vertices: Sequence[Fraction]) -> str:
-    return ",".join(str(v) for v in vertices)

@@ -167,6 +167,16 @@ class TestSolve:
         lo, hi = parse_rational(fields[5]), parse_rational(fields[6])
         assert lo < 1 < hi
 
+    def test_single_grid_over_budget_exit_1(self):
+        argv = ["solve", "(x*x + 2)/4", "0", "1", "--mode", "single_grid"]
+        argv += ["--epsilon", "1/1000000000000", "--lipschitz", "1"]
+        code, stdout, stderr = run_cli(argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "error: a single_grid scan of 2000000000001 edges exceeds the budget of 1000000 edges\n"
+        )
+
     def test_single_grid_requires_lipschitz(self):
         code, _, stderr = run_cli(["solve", "1 - x", "0", "1", "--mode", "single_grid"])
         assert code == 1

@@ -94,6 +94,15 @@ class TestParse:
             parse("1 + @")
         assert info.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "x" + ")" * 3000, "ifneg(" * 2000 + "x" + ", 1, 2)" * 2000],
+        ids=["3000 nested parentheses", "2000 nested ifneg"],
+    )
+    def test_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^expression nested too deeply$"):
+            parse(text)
+
 
 class TestEvaluate:
     def test_symmetry_point(self):

@@ -10,13 +10,10 @@ from conftest import run_python_O
 from spernerfix import plmap as plmap_module
 from spernerfix.plmap import (
     TRACE_ROW_BUDGET,
-    DiscreteMap,
     FixedPointWitness,
     PLMap,
-    discrete_from_labeling,
     pl_evaluate,
     pl_fixed_points,
-    pl_from_discrete,
     pl_from_labeling,
     pl_trace,
     theorem_roundtrip,
@@ -54,7 +51,7 @@ def seeded_plmaps(seed, count):
     for i in range(count):
         grid = random_grid(rng, rng.randint(1, 12))
         if i % 2:
-            yield PLMap(grid, tuple(rng.choice(grid.vertices) for _ in grid.vertices))
+            yield PLMap(grid, tuple(rng.randrange(len(grid.vertices)) for _ in grid.vertices))
         else:
             labeling = Labeling((0, *(rng.randint(0, 1) for _ in range(grid.n - 1)), 1))
             yield pl_from_labeling(grid, labeling)
@@ -98,48 +95,54 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-class TestDiscreteMap:
+class TestPLFromLabeling:
     def test_shift_rule(self):
-        dmap = discrete_from_labeling(UNIT_GRID_3, Labeling((0, 0, 1)))
-        assert dmap.target_index == (1, 2, 1)
+        plmap = pl_from_labeling(UNIT_GRID_3, Labeling((0, 0, 1)))
+        assert plmap.target_index == (1, 2, 1)
+        assert plmap.value_at_vertex == (Fraction(1), Fraction(2), Fraction(1))
 
     def test_minimal_swap(self):
         grid = Grid((Fraction(0), Fraction(1)))
-        dmap = discrete_from_labeling(grid, Labeling((0, 1)))
-        assert dmap.target_index == (1, 0)
+        plmap = pl_from_labeling(grid, Labeling((0, 1)))
+        assert plmap.target_index == (1, 0)
 
     def test_alternating(self):
         grid = integer_grid(3)
-        dmap = discrete_from_labeling(grid, Labeling((0, 1, 0, 1)))
-        assert dmap.target_index == (1, 0, 3, 2)
+        plmap = pl_from_labeling(grid, Labeling((0, 1, 0, 1)))
+        assert plmap.target_index == (1, 0, 3, 2)
 
     def test_closure_exhaustive(self):
         for n in range(1, 9):
             grid = integer_grid(n)
             for labeling in boundary_respecting_labelings(n):
-                dmap = discrete_from_labeling(grid, labeling)
-                assert all(0 <= t <= n for t in dmap.target_index)
+                plmap = pl_from_labeling(grid, labeling)
+                assert all(0 <= t <= n for t in plmap.target_index)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            discrete_from_labeling(UNIT_GRID_3, Labeling((0, 1)))
+            pl_from_labeling(UNIT_GRID_3, Labeling((0, 1)))
 
-    def test_rejects_non_adjacent_target(self):
-        with pytest.raises(ValueError):
-            DiscreteMap(UNIT_GRID_3, (2, 2, 1))
+    def test_hashes_no_vertex(self, monkeypatch):
+        # Targets are indices, so no Fraction is hashed to check an image.
+        rng = random.Random(7)
+        grid = random_grid(rng, 50)
+        labeling = Labeling((0, *(rng.randint(0, 1) for _ in range(49)), 1))
 
-    def test_rejects_escaping_target(self):
-        with pytest.raises(ValueError):
-            DiscreteMap(UNIT_GRID_3, (-1, 0, 1))
+        def no_hash(self):
+            raise AssertionError("a Fraction was hashed")
+
+        monkeypatch.setattr(Fraction, "__hash__", no_hash)
+        plmap = pl_from_labeling(grid, labeling)
+        assert plmap.value_at_vertex == tuple(grid.vertices[t] for t in plmap.target_index)
 
 
 class TestPLEvaluate:
     def test_interpolation(self):
-        plmap = pl_from_discrete(DiscreteMap(UNIT_GRID_3, (1, 2, 1)))
+        plmap = PLMap(UNIT_GRID_3, (1, 2, 1))
         assert pl_evaluate(plmap, Fraction(1, 2)) == Fraction(3, 2)
 
     def test_vertex_hit_returns_vertex_value(self):
-        plmap = pl_from_discrete(DiscreteMap(UNIT_GRID_3, (1, 2, 1)))
+        plmap = PLMap(UNIT_GRID_3, (1, 2, 1))
         for j, v in enumerate(UNIT_GRID_3.vertices):
             assert pl_evaluate(plmap, v) == plmap.value_at_vertex[j]
 
@@ -149,7 +152,7 @@ class TestPLEvaluate:
         assert pl_evaluate(plmap, Fraction(1, 4)) == Fraction(3, 4)
 
     def test_out_of_domain(self):
-        plmap = pl_from_discrete(DiscreteMap(UNIT_GRID_3, (1, 2, 1)))
+        plmap = PLMap(UNIT_GRID_3, (1, 2, 1))
         with pytest.raises(ValueError):
             pl_evaluate(plmap, Fraction(-1))
         with pytest.raises(ValueError):
@@ -169,11 +172,20 @@ class TestPLEvaluate:
                 x = lo + span * Fraction(rng.randint(0, 64), 64)
                 assert lo <= pl_evaluate(plmap, x) <= hi
 
-    def test_plmap_value_validation(self):
+    @pytest.mark.parametrize(
+        "targets",
+        [(-1, 0, 1), (1, 3, 1), (1, 2.0, 1), (1, Fraction(2), 1), (1, True, 1), (1, 2)],
+        ids=["negative", "out of range", "float", "Fraction", "bool", "wrong length"],
+    )
+    def test_target_validation(self, targets):
         with pytest.raises(ValueError):
-            PLMap(UNIT_GRID_3, (Fraction(1), Fraction(1, 2), Fraction(1)))
-        with pytest.raises(ValueError):
-            PLMap(UNIT_GRID_3, (Fraction(1), Fraction(2)))
+            PLMap(UNIT_GRID_3, targets)
+
+    def test_any_grid_vertex_is_a_target(self):
+        plmap = PLMap(UNIT_GRID_3, [2, 2, 0])
+        assert plmap.target_index == (2, 2, 0)
+        assert plmap.value_at_vertex == (Fraction(2), Fraction(2), Fraction(0))
+        assert plmap == PLMap(UNIT_GRID_3, (2, 2, 0))
 
 
 class TestPLFixedPoints:
@@ -220,11 +232,11 @@ class TestPLFixedPoints:
         # Vertex 0 is reported on edge 1, vertex j on edge j (its left edge),
         # and the last vertex n on edge n.
         grid = integer_grid(n)
-        base = pl_from_labeling(grid, Labeling((0,) * n + (1,))).value_at_vertex
+        base = pl_from_labeling(grid, Labeling((0,) * n + (1,))).target_index
         for j in range(n + 1):
-            values = list(base)
-            values[j] = grid.vertices[j]
-            plmap = PLMap(grid, values)
+            targets = list(base)
+            targets[j] = j
+            plmap = PLMap(grid, targets)
             message = f"a vertex of edge {max(j, 1)} is its own image"
             with pytest.raises(CertificateError) as exc:
                 pl_fixed_points(plmap)
@@ -324,7 +336,7 @@ _LYING_FIXED_POINTS = textwrap.dedent(
             print(exc)
     plmap.pl_fixed_points = real
     try:  # vertex 1 is its own image
-        real(plmap.PLMap(grid, tuple(Fraction(v) for v in (1, 1, 1, 2))))
+        real(plmap.PLMap(grid, (1, 1, 1, 2)))
     except CertificateError as exc:
         print(exc)
     """

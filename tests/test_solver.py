@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import gen_expr
+from spernerfix import solver as solver_module
 from spernerfix.expr import Add, Const, Mul, Sub, Var, evaluate, parse
 from spernerfix.solver import (
+    SINGLE_GRID_BUDGET,
     CertifiedBracket,
     SolverConfig,
     archimedean_n,
@@ -306,6 +308,32 @@ class TestSolveSingleGrid:
             eager_single_grid(undefined_later, a, b, config)
         result = solve(undefined_later, a, b, config)
         assert (result.lo, result.hi) == bracket
+
+    def test_budget_boundary(self, monkeypatch):
+        # The README map at epsilon 1/1000, L = 1/2 needs 2001 edges.
+        config = SolverConfig(
+            epsilon=Fraction(1, 1000), lipschitz=Fraction(1, 2), mode="single_grid"
+        )
+        f, a, b = parse("(x*x + 2)/4"), Fraction(0), Fraction(1)
+        monkeypatch.setattr(solver_module, "SINGLE_GRID_BUDGET", 2001)
+        assert isinstance(solve(f, a, b, config), CertifiedBracket)
+        monkeypatch.setattr(solver_module, "SINGLE_GRID_BUDGET", 2000)
+        with pytest.raises(ValueError, match="2001 edges exceeds the budget of 2000 edges"):
+            solve(f, a, b, config)
+
+    def test_rejects_over_budget_before_scanning(self):
+        # 2*10**12 + 1 edges; only the endpoints may be evaluated.
+        def endpoints_only(x):
+            if x not in (0, 1):
+                raise AssertionError(f"evaluated the interior vertex {x}")
+            return (x * x + 2) / 4
+
+        config = SolverConfig(
+            epsilon=Fraction(1, 10**12), lipschitz=Fraction(1), mode="single_grid"
+        )
+        assert SINGLE_GRID_BUDGET == 10**6
+        with pytest.raises(ValueError, match="2000000000001 edges exceeds the budget"):
+            solve(endpoints_only, Fraction(0), Fraction(1), config)
 
 
 class TestResidualBound:

@@ -14,8 +14,8 @@ decimal renderings are exact truncations. Each invocation emits one
 well-formed JSON document in json mode and a header row in csv mode.
 
 Exit codes: 0 success; 1 malformed input, including an expression nested too
-deeply to parse or evaluate; 2 boundary-condition or self-map violation; 3
-bracket returned but unconverged (report still emitted).
+deeply to parse; 2 boundary-condition or self-map violation; 3 bracket
+returned but unconverged (report still emitted).
 """
 
 from __future__ import annotations
@@ -286,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
         return 1
 
 

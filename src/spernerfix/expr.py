@@ -4,7 +4,9 @@ Expressions are piecewise-polynomial terms over the rationals with sign
 guards: constants, the variable x, the four field operations, and
 ``ifneg(guard, then, else)``, which evaluates `then` when guard(x) < 0 and
 `else` otherwise (including guard(x) = 0). Evaluation is exact; the only
-possible runtime failure is division by zero.
+possible runtime failure is division by zero. Each expression is compiled
+once, on its first evaluation, to postfix code that `evaluate` runs
+iteratively, so evaluation does not recurse however deep the expression.
 
 Grammar (version 1), with standard precedence and left association::
 
@@ -26,47 +28,60 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Union
 
 from .rationals import ParseError
 
 
+class _Node:
+    """Base of the expression nodes; holds a node's compiled code once built.
+
+    The code lives in the instance __dict__, outside the dataclass fields,
+    so equality, hashing and repr see only the tree.
+    """
+
+    @cached_property
+    def _code(self) -> tuple:
+        return _compile(self)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: Fraction
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
 @dataclass(frozen=True)
-class Div:
+class Div(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
 @dataclass(frozen=True)
-class IfNeg:
+class IfNeg(_Node):
     guard: "Expr"
     then: "Expr"
     orelse: "Expr"
@@ -76,25 +91,101 @@ Expr = Union[Const, Var, Add, Sub, Mul, Div, IfNeg]
 
 _BINARY_TEXT = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
+# Instructions of the compiled code, each a triple (opcode, p, q): CONST
+# pushes p/q, VAR pushes x, a binary opcode pops its right operand and
+# combines it into the one below, JUMP_IF_NONNEG pops a value and jumps to
+# instruction p when it is >= 0, JUMP jumps to p.
+_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _JUMP_IF_NONNEG, _JUMP = range(8)
+_BINARY_OPCODE = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+# Work items of the compiler: a node to compile, an instruction to emit, or
+# a jump whose target is the next instruction.
+_NODE, _EMIT, _LAND = range(3)
+
+
+def _compile(root: Expr) -> tuple:
+    """Postfix code for root, built with an explicit work stack."""
+    code = []
+    work = [(_NODE, root)]
+    while work:
+        action, item = work.pop()
+        if action == _EMIT:
+            code.append(item)
+            continue
+        if action == _LAND:
+            item[1] = len(code)
+            continue
+        match item:
+            case Const(value):
+                code.append((_CONST, value.numerator, value.denominator))
+            case Var():
+                code.append((_VAR, 0, 0))
+            case Add() | Sub() | Mul() | Div():
+                op = _BINARY_OPCODE[type(item)]
+                work += [(_EMIT, (op, 0, 0)), (_NODE, item.rhs), (_NODE, item.lhs)]
+            case IfNeg(guard, then, orelse):
+                # guard; JUMP_IF_NONNEG to orelse; then; JUMP past orelse; orelse
+                to_else, to_end = [_JUMP_IF_NONNEG, 0, 0], [_JUMP, 0, 0]
+                work += [
+                    (_LAND, to_end),
+                    (_NODE, orelse),
+                    (_LAND, to_else),
+                    (_EMIT, to_end),
+                    (_NODE, then),
+                    (_EMIT, to_else),
+                    (_NODE, guard),
+                ]
+            case _:
+                raise TypeError(f"not an expression node: {item!r}")
+    return tuple(map(tuple, code))
+
 
 def evaluate(e: Expr, x: Fraction) -> Fraction:
-    """Evaluate e at x, exactly. Division by zero raises ZeroDivisionError."""
-    match e:
-        case Const(value):
-            return value
-        case Var():
-            return x
-        case Add(lhs, rhs):
-            return evaluate(lhs, x) + evaluate(rhs, x)
-        case Sub(lhs, rhs):
-            return evaluate(lhs, x) - evaluate(rhs, x)
-        case Mul(lhs, rhs):
-            return evaluate(lhs, x) * evaluate(rhs, x)
-        case Div(lhs, rhs):
-            return evaluate(lhs, x) / evaluate(rhs, x)
-        case IfNeg(guard, then, orelse):
-            return evaluate(then, x) if evaluate(guard, x) < 0 else evaluate(orelse, x)
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate e at x, exactly. Division by zero raises ZeroDivisionError.
+
+    e is compiled once, on its first evaluation, and the code is kept on e.
+    The code runs iteratively over unreduced integer pairs (numerator,
+    denominator > 0), so an expression of any depth evaluates, and the one
+    reduction is the final Fraction. ifneg evaluates only the branch taken.
+    """
+    if not isinstance(e, _Node):
+        raise TypeError(f"not an expression node: {e!r}")
+    code = e._code
+    xn, xd = x.numerator, x.denominator
+    nums, dens = [], []
+    pc, end = 0, len(code)
+    while pc < end:
+        op, p, q = code[pc]
+        pc += 1
+        if op == _VAR:
+            nums.append(xn)
+            dens.append(xd)
+        elif op == _CONST:
+            nums.append(p)
+            dens.append(q)
+        elif op == _JUMP_IF_NONNEG:
+            dens.pop()
+            if nums.pop() >= 0:
+                pc = p
+        elif op == _JUMP:
+            pc = p
+        else:
+            bn, bd = nums.pop(), dens.pop()
+            an, ad = nums[-1], dens[-1]
+            if op == _MUL:
+                nums[-1], dens[-1] = an * bn, ad * bd
+            elif op == _DIV:
+                if not bn:
+                    # The text Fraction division gives: the dividend's sign.
+                    raise ZeroDivisionError(f"Fraction({(an > 0) - (an < 0)}, 0)")
+                if bn < 0:
+                    an, bn = -an, -bn
+                nums[-1], dens[-1] = an * bd, ad * bn
+            elif ad == bd:
+                nums[-1] = an + bn if op == _ADD else an - bn
+            else:
+                nums[-1] = an * bd + bn * ad if op == _ADD else an * bd - bn * ad
+                dens[-1] = ad * bd
+    return Fraction(nums[0], dens[0])
 
 
 def as_function(f: Expr | Callable[[Fraction], Fraction]) -> Callable[[Fraction], Fraction]:

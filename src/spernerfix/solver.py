@@ -20,6 +20,10 @@ Two modes:
   bracket so far is returned marked unconverged. The residuals of the
   bracket ends are carried from round to round, so a round costs
   ceil(log2(branching)) evaluations and no point is evaluated twice.
+  The bracket is kept in integers: after r rounds it is
+  [a + i*w/K, a + (i+1)*w/K] with w = b - a and K = branching**r, so each
+  queried vertex is one Fraction built from integers fixed at round 0, and
+  the stopping test is one integer comparison.
   ExactVertex is returned when some *queried* vertex is exactly fixed; at
   branching 2 that is every vertex of the sub-grid, at larger branching
   the unqueried vertices are never evaluated.
@@ -165,10 +169,13 @@ def solve(
     return result
 
 
-def _met(width: Fraction, config: SolverConfig) -> bool:
-    if config.lipschitz is not None:
-        return (config.lipschitz + 1) * width / 2 <= config.epsilon
-    return width <= config.epsilon
+def _uniform_vertices(a: Fraction, width: Fraction) -> Callable[[int, int], Fraction]:
+    """vertex(i, n) is a + i * width / n, vertex i of make_uniform_grid(a, a +
+    width, n), built as one Fraction from integers fixed here."""
+    base = a.numerator * width.denominator
+    scale = width.numerator * a.denominator
+    den = a.denominator * width.denominator
+    return lambda i, n: Fraction(base * n + i * scale, den * n)
 
 
 def refine_rounds(
@@ -201,31 +208,41 @@ def refine_rounds(
     if g_hi > 0:
         raise NonSelfMapError(f"f({b}) > {b}: map does not self-map the interval")
     k = config.branching
+    width = b - a
+    vertex = _uniform_vertices(a, width)
+    # After r rounds the bracket is [vertex(index, parts), vertex(index + 1,
+    # parts)] with parts = k**r, and it is converged when width / parts <= t.
+    t = config.epsilon
+    if config.lipschitz is not None:
+        t = Fraction(2 * t, config.lipschitz + 1)
+    width_t = width.numerator * t.denominator
+    t_width = t.numerator * width.denominator
     lo, hi = a, b
+    index, parts = 0, 1
     rounds = 0
     while True:
         if not g_lo > 0 > g_hi:
             raise CertificateError(f"round {rounds}: residual signs lost at [{lo}, {hi}]")
-        met = _met(hi - lo, config)
+        met = width_t <= t_width * parts
         yield CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=met)
         if met or rounds == config.max_rounds:
             return
         # Bisect the vertex indices 0..k of make_uniform_grid(lo, hi, k),
-        # keeping label 0 (g > 0) at i and label 1 (g < 0) at j.
-        step = Fraction(hi - lo, k)
-        i, j = 0, k
-        while j - i > 1:
-            m = (i + j) // 2
-            x = lo + m * step
+        # keeping label 0 (g > 0) at left and label 1 (g < 0) at right.
+        index, parts = index * k, parts * k
+        left, right = 0, k
+        while right - left > 1:
+            m = (left + right) // 2
+            x = vertex(index + m, parts)
             g = fn(x) - x
             if g == 0:
                 yield ExactVertex(x)
                 return
             if g > 0:
-                i, g_lo = m, g
+                left, lo, g_lo = m, x, g
             else:
-                j, g_hi = m, g
-        lo, hi = lo + i * step, lo + j * step
+                right, hi, g_hi = m, x, g
+        index += left
         rounds += 1
 
 
@@ -245,12 +262,12 @@ def _solve_single_grid(
         raise ValueError(
             f"a single_grid scan of {n} edges exceeds the budget of {SINGLE_GRID_BUDGET} edges"
         )
-    step = Fraction(b - a, n)
+    vertex = _uniform_vertices(a, b - a)
     # Scan the vertices of make_uniform_grid(a, b, n) up to the first with
     # g <= 0; the last vertex is b, whose residual g_hi < 0 is already known.
     lo, g_lo = a, start.g_lo
     for i in range(1, n):
-        x = a + i * step
+        x = vertex(i, n)
         g = fn(x) - x
         if g == 0:
             return ExactVertex(x)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import spernerfix
 from spernerfix.cli import main
-from spernerfix.expr import Add, Const, Div, Expr, IfNeg, Mul, Sub, Var
+from spernerfix.expr import Add, Const, Div, Expr, IfNeg, Mul, Sub, Var, parse
 
 
 def run_cli(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, str]:
@@ -40,6 +40,15 @@ def run_python_O(script: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=60,
     )
+
+
+# Self-maps with a unique fixed point and a hand-derived Lipschitz bound:
+# (expression, a, b, L, exact fixed point or None when irrational)
+LIPSCHITZ_CORPUS = [
+    (parse("(x + 1)/2"), Fraction(0), Fraction(2), Fraction(1, 2), Fraction(1)),
+    (parse("1 - x/3"), Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)),
+    (parse("(x*x + 2)/4"), Fraction(0), Fraction(1), Fraction(1, 2), None),
+]
 
 
 def gen_expr(rng: random.Random, depth: int) -> Expr:

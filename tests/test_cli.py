@@ -125,15 +125,29 @@ class TestSolve:
         "argv,stdin_text",
         [
             (["solve", "-", "0", "1"], "(" * 2000 + "x" + ")" * 2000),  # deep in the parser
-            (["solve", "+".join(["x/5000"] * 5000), "0", "1"], None),  # deep in evaluate
         ],
-        ids=["2000 nested parentheses on stdin", "5000-term sum"],
+        ids=["2000 nested parentheses on stdin"],
     )
     def test_deep_input_exit_1(self, argv, stdin_text):
         code, stdout, stderr = run_cli(argv, stdin_text=stdin_text)
         assert code == 1
         assert stdout == ""
         assert stderr == "error: expression nested too deeply\n"
+
+    def test_5000_term_sum_evaluates(self):
+        # the sum is the identity map, so the left endpoint is exactly fixed
+        code, stdout, stderr = run_cli(["solve", "+".join(["x/5000"] * 5000), "0", "1"])
+        assert (code, stdout, stderr) == (0, "exact fixed point: 0 (0.000000000000)\n", "")
+
+    @pytest.mark.parametrize(
+        "text,sign",
+        [("x + 5/(x-x)", 1), ("x + (0-3)/(x-x)", -1), ("x + 0/(x-x)", 0)],
+        ids=["positive dividend", "negative dividend", "zero dividend"],
+    )
+    def test_division_by_zero_exit_1(self, text, sign):
+        code, stdout, stderr = run_cli(["solve", text, "0", "1"])
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: division by zero during evaluation: Fraction({sign}, 0)\n"
 
     def test_bad_endpoint_literal(self):
         code, _, stderr = run_cli(["solve", "x", "0", "1.5"])

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gen_expr
+from conftest import LIPSCHITZ_CORPUS, gen_expr
+from spernerfix import expr as expr_module
 from spernerfix.expr import (
     Add,
     Const,
@@ -136,11 +137,125 @@ class TestEvaluate:
             x = Fraction(rng.randint(1, 2 * 10**4), 10**4)
             assert evaluate(guard, x) != 0
 
+    def test_untaken_branch_is_never_evaluated(self):
+        # the only zero divisor sits in the branch the guard does not take
+        e = parse("ifneg(x, 1/(x - x), 2)")
+        assert evaluate(e, Fraction(1)) == Fraction(2)
+        with pytest.raises(ZeroDivisionError):
+            evaluate(e, Fraction(-1))
+        assert evaluate(parse("ifneg(x, 3, 1/(x - x))"), Fraction(-1)) == Fraction(3)
+
+    def test_100000_term_chains(self):
+        n = 100_000
+        left_sum, right_sum, product = Var(), Var(), Var()
+        for _ in range(n - 1):
+            left_sum, right_sum = Add(left_sum, Var()), Add(Var(), right_sum)
+            product = Mul(product, Var())
+        assert evaluate(left_sum, Fraction(1, 3)) == Fraction(n, 3)
+        assert evaluate(right_sum, Fraction(-2, 5)) == Fraction(-2 * n, 5)
+        assert evaluate(product, Fraction(-1)) == 1
+
+    @pytest.mark.parametrize("e", ["x", Add(Var(), 3), IfNeg(Var(), ONE, None)])
+    def test_non_node_is_a_type_error(self, e):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            evaluate(e, Fraction(1))
+
     def test_as_function(self):
         fn = as_function(parse("1 - x"))
         assert fn(Fraction(1, 4)) == Fraction(3, 4)
         same = as_function(fn)
         assert same is fn
+
+
+def recursive_evaluate(e, x):
+    """Reference evaluator: one Fraction operation per node, recursively."""
+    match e:
+        case Const(value):
+            return value
+        case Var():
+            return x
+        case Add(lhs, rhs):
+            return recursive_evaluate(lhs, x) + recursive_evaluate(rhs, x)
+        case Sub(lhs, rhs):
+            return recursive_evaluate(lhs, x) - recursive_evaluate(rhs, x)
+        case Mul(lhs, rhs):
+            return recursive_evaluate(lhs, x) * recursive_evaluate(rhs, x)
+        case Div(lhs, rhs):
+            return recursive_evaluate(lhs, x) / recursive_evaluate(rhs, x)
+        case IfNeg(guard, then, orelse):
+            if recursive_evaluate(guard, x) < 0:
+                return recursive_evaluate(then, x)
+            return recursive_evaluate(orelse, x)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def outcome(evaluator, e, x):
+    """The value, or the text of the ZeroDivisionError raised."""
+    try:
+        return evaluator(e, x)
+    except ZeroDivisionError as exc:
+        return f"ZeroDivisionError: {exc}"
+
+
+_rng = random.Random(400)
+# 0, negatives, non-dyadic rationals, and dyadics with a 400-bit denominator
+POINTS = [Fraction(0), Fraction(-1), Fraction(-7, 3), Fraction(1, 3), Fraction(22, 7)]
+POINTS += [Fraction(sign * (_rng.getrandbits(400) | 1), 2**400) for sign in (1, -1, 1)]
+
+
+class TestAgainstRecursiveReference:
+    def test_matches_on_generated_trees_and_corpus(self):
+        rng = random.Random(20261018)
+        exprs = [gen_expr(rng, rng.randint(0, 6)) for _ in range(2000)]
+        exprs += [e for e, *_ in LIPSCHITZ_CORPUS] + [EQ2_AST]
+        raised = 0
+        for e in exprs:
+            for x in POINTS:
+                expected = outcome(recursive_evaluate, e, x)
+                assert outcome(evaluate, e, x) == expected, (e, x)
+                raised += isinstance(expected, str)
+        assert raised  # the corpus exercises the ZeroDivisionError path
+
+    def test_no_cache_hashes_the_tree(self, monkeypatch):
+        rng = random.Random(3)
+        exprs = [parse(EQ2_TEXT)] + [gen_expr(rng, 6) for _ in range(50)]
+
+        def no_hash(node):
+            raise AssertionError("an expression node was hashed")
+
+        for cls in (Const, Var, Add, Sub, Mul, Div, IfNeg):
+            monkeypatch.setattr(cls, "__hash__", no_hash)
+        for e in exprs:
+            for _ in range(2):  # compiled on the first call, cached for the second
+                assert outcome(evaluate, e, Fraction(1, 3)) == outcome(
+                    recursive_evaluate, e, Fraction(1, 3)
+                )
+
+    def test_evaluated_expr_equals_a_fresh_parse(self):
+        for text in (EQ2_TEXT, "(x*x + 2)/4", "1 - 2 - 3", "ifneg(x, 1/(x - x), 2)"):
+            e = parse(text)
+            evaluate(e, Fraction(1, 2))
+            fresh = parse(text)
+            assert "_code" in vars(e) and "_code" not in vars(fresh)
+            assert e == fresh and fresh == e
+            assert hash(e) == hash(fresh)
+            assert repr(e) == repr(fresh)
+            assert parse(to_text(e)) == e
+
+    def test_compiled_once_per_expression(self, monkeypatch):
+        calls = []
+        real_compile = expr_module._compile
+
+        def counting_compile(e):
+            calls.append(e)
+            return real_compile(e)
+
+        monkeypatch.setattr(expr_module, "_compile", counting_compile)
+        e = parse("(x*x + 2)/4")
+        fn = as_function(e)
+        for x in POINTS:
+            assert fn(x) == evaluate(e, x) == recursive_evaluate(e, x)
+        assert calls == [e]
 
 
 class TestToText:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gen_expr
+from conftest import LIPSCHITZ_CORPUS, gen_expr
 from spernerfix import solver as solver_module
 from spernerfix.expr import Add, Const, Mul, Sub, Var, evaluate, parse
 from spernerfix.solver import (
@@ -27,13 +27,6 @@ from spernerfix.sperner import (
 
 EQ2 = parse("ifneg(x*x - 2, 2, 1)")
 
-# Self-maps with a unique fixed point and a hand-derived Lipschitz bound:
-# (expression, a, b, L, exact fixed point or None when irrational)
-LIPSCHITZ_CORPUS = [
-    (parse("(x + 1)/2"), Fraction(0), Fraction(2), Fraction(1, 2), Fraction(1)),
-    (parse("1 - x/3"), Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)),
-    (parse("(x*x + 2)/4"), Fraction(0), Fraction(1), Fraction(1, 2), None),
-]
 
 
 def contains_fixed_point(bracket, expr, exact):
@@ -532,3 +525,111 @@ class TestEquivalenceWithEagerReference:
                     assert got == expected
                 elif got is not ZeroDivisionError:
                     assert_valid(f, a, b, got)
+
+
+def fraction_step_rounds(f, a, b, config):
+    """Reference refine stream with the bracket kept as Fractions: each round
+    queries lo + m * step with step = (hi - lo) / k."""
+    if not a < b:
+        raise ValueError("requires a < b")
+    g_lo, g_hi = residual(f, a), residual(f, b)
+    if g_lo == 0:
+        yield ExactVertex(a)
+        return
+    if g_lo < 0:
+        raise NonSelfMapError(f"f({a}) < {a}: map does not self-map the interval")
+    if g_hi == 0:
+        yield ExactVertex(b)
+        return
+    if g_hi > 0:
+        raise NonSelfMapError(f"f({b}) > {b}: map does not self-map the interval")
+
+    def met(width):
+        if config.lipschitz is not None:
+            return (config.lipschitz + 1) * width / 2 <= config.epsilon
+        return width <= config.epsilon
+
+    k = config.branching
+    lo, hi = a, b
+    rounds = 0
+    while True:
+        yield CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=met(hi - lo))
+        if met(hi - lo) or rounds == config.max_rounds:
+            return
+        step = Fraction(hi - lo, k)
+        i, j = 0, k
+        while j - i > 1:
+            m = (i + j) // 2
+            x = lo + m * step
+            g = residual(f, x)
+            if g == 0:
+                yield ExactVertex(x)
+                return
+            if g > 0:
+                i, g_lo = m, g
+            else:
+                j, g_hi = m, g
+        lo, hi = lo + i * step, lo + j * step
+        rounds += 1
+
+
+def drain(stream):
+    """Every item of a stream, and the exception that ended it, as text."""
+    items = []
+    try:
+        for item in stream:
+            items.append(item)
+    except (ArithmeticError, ValueError) as exc:
+        return items, f"{type(exc).__name__}: {exc}"
+    return items, None
+
+
+def seeded_interval_maps(seed, count, a, b):
+    """x + (c - x) + h(x) * (x - a) * (b - x) with c a third of the way into
+    [a, b] and random h: g(a) = c - a > 0 and g(b) = c - b < 0 unless h
+    divides by zero there."""
+    rng = random.Random(seed)
+    c = Const((2 * a + b) / 3)
+    for _ in range(count):
+        bump = Mul(gen_expr(rng, 4), Mul(Sub(Var(), Const(a)), Sub(Const(b), Var())))
+        yield Add(Var(), Add(Sub(c, Var()), bump))
+
+
+# 1/3 - x^2 as the residual: one irrational fixed point, 1/sqrt(3)
+IRRATIONAL_ROOT = parse("x + 1/3 - x*x")
+NON_DYADIC = (Fraction(-1, 3), Fraction(5, 7))
+
+
+class TestRefineStreamAgainstFractionSteps:
+    def cases(self):
+        yield IRRATIONAL_ROOT, *NON_DYADIC
+        yield EQ2, Fraction(1), Fraction(2)
+        # fixed at 4/3, and a zero divisor at 3/2
+        yield parse("x + (4/3 - x) + 1/(2*x - 3)*0"), Fraction(1), Fraction(2)
+        yield parse("x + 5"), *NON_DYADIC  # not a self-map
+        for seed, (a, b) in enumerate((NON_DYADIC, (Fraction(1), Fraction(2)))):
+            for f in seeded_interval_maps(seed, 25, a, b):
+                yield f, a, b
+
+    def test_identical_streams(self):
+        for f, a, b in self.cases():
+            for k in (2, 3, 5, 16):
+                for lips in (None, Fraction(1, 2), Fraction(3)):
+                    config = SolverConfig(
+                        epsilon=Fraction(1, 2**20), lipschitz=lips, branching=k, max_rounds=12
+                    )
+                    expected = drain(fraction_step_rounds(f, a, b, config))
+                    assert drain(refine_rounds(f, a, b, config)) == expected
+
+    def test_width_exactly_on_target_converges(self):
+        a, b = NON_DYADIC
+        for k in (2, 3, 5, 16):
+            target = (b - a) / k**4  # the width after round 4
+            for lips in (None, Fraction(1, 2), Fraction(3)):
+                epsilon = target if lips is None else (lips + 1) * target / 2
+                config = SolverConfig(epsilon=epsilon, lipschitz=lips, branching=k)
+                items, error = drain(refine_rounds(IRRATIONAL_ROOT, a, b, config))
+                assert (items, error) == drain(fraction_step_rounds(IRRATIONAL_ROOT, a, b, config))
+                assert error is None
+                assert [item.converged for item in items] == [False] * 4 + [True]
+                assert items[-1].width == target

@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Const, Expr, IfNeg, Mul, Sub, Var, evaluate
+from .expr import Const, Expr, IfNeg, Mul, Sub, Var
 from .rationals import is_below_sqrt2
-from .sperner import Labeling, find_transition_scan, label_by_sign, make_uniform_grid
 from .solver import (
     CertificateError,
     CertifiedBracket,
@@ -57,7 +56,7 @@ def assert_no_fixed_point(x: Fraction) -> bool:
     """
     if not _ONE <= x <= _TWO:
         raise ValueError(f"{x} outside the domain [1, 2]")
-    return evaluate(counterexample_expr(), x) != x
+    return residual(counterexample_expr(), x) != 0
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,14 @@ def run_demo(depth: int) -> list[CounterexampleReport]:
     """Bisect the counterexample for `depth` rounds and certify each one.
 
     Drains one refine-mode stream of the solver (branching 2, no Lipschitz
-    declaration), so each report comes from the public solver surface and
-    the cost is linear in depth. Per round, checks in exact arithmetic that
-    the bracket straddles sqrt(2), that the midpoint residual stays at or
-    above 2/5, that no grid vertex is ever exactly fixed, and that the grid
-    the solver refined still satisfies the Sperner lemma. Any failure raises
-    CertificateError: it would be an implementation bug.
+    declaration) and checks it against residuals evaluated here: g(1), g(2)
+    and g(3/2) once, then each round's reported midpoint residual g(m).
+    Round d must yield the first transition edge of [lo, m, hi] with its
+    residuals, exactly: [m, hi] with (g(m), g(hi)) if g(m) > 0, else [lo, m]
+    with (g(lo), g(m)). Each bracket must straddle sqrt(2) and each |g(m)|
+    stay at or above 2/5, so no vertex is fixed. Costs 2*depth + 5
+    evaluations of f. Any failure raises CertificateError: it would be an
+    implementation bug.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -96,22 +97,18 @@ def run_demo(depth: int) -> list[CounterexampleReport]:
     rounds = refine_rounds(f, _ONE, _TWO, config)
     next(rounds)  # round 0 is [1, 2] itself
     reports: list[CounterexampleReport] = []
-    prev_lo, prev_hi = _ONE, _TWO
+    lo, hi, midpoint = _ONE, _TWO, Fraction(3, 2)
+    g_lo, g_hi, g_mid = (residual(f, x) for x in (lo, hi, midpoint))
     for d, bracket in enumerate(rounds, 1):
         if not isinstance(bracket, CertifiedBracket):
             raise CertificateError("exact vertex fixed point cannot occur: f has none")
-
-        # The grid refined this round, rebuilt by hand: Sperner still holds
-        # over Q, and the transition edge is the bracket the solver returned.
-        grid = make_uniform_grid(prev_lo, prev_hi, 2)
-        labeled = label_by_sign(grid, f)
-        if not isinstance(labeled, Labeling):
-            raise CertificateError(f"round {d}: a vertex of {grid.vertices} is exactly fixed")
-        edge = find_transition_scan(labeled)
-        if (grid.vertices[edge - 1], grid.vertices[edge]) != (bracket.lo, bracket.hi):
+        # The first transition edge of the labeled grid [lo, midpoint, hi].
+        expected = (midpoint, hi, g_mid, g_hi) if g_mid > 0 else (lo, midpoint, g_lo, g_mid)
+        lo, hi, g_lo, g_hi = bracket.lo, bracket.hi, bracket.g_lo, bracket.g_hi
+        if (lo, hi, g_lo, g_hi) != expected:
             raise CertificateError(f"round {d}: the solver left the transition edge")
 
-        contains = is_below_sqrt2(bracket.lo) and not is_below_sqrt2(bracket.hi)
+        contains = is_below_sqrt2(lo) and not is_below_sqrt2(hi)
         midpoint = bracket.midpoint
         g_mid = residual(f, midpoint)
         floor_ok = abs(g_mid) >= RESIDUAL_FLOOR
@@ -130,7 +127,6 @@ def run_demo(depth: int) -> list[CounterexampleReport]:
                 contains_sqrt2=contains,
             )
         )
-        prev_lo, prev_hi = bracket.lo, bracket.hi
     if len(reports) != depth:
         raise CertificateError(f"{len(reports)} rounds for depth {depth}")
     return reports

@@ -1,8 +1,11 @@
-"""The package's public names, and the names the benchmark's tracer wraps."""
+"""The package's public names, the names the benchmark's tracer wraps, and
+source rules that no behaviour test can see."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 import types
 from pathlib import Path
 
@@ -11,7 +14,9 @@ import pytest
 import spernerfix
 from spernerfix.expr import as_function
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+SOURCES = sorted((ROOT / "src" / "spernerfix").glob("*.py"))
 
 
 def load_tracer():
@@ -52,3 +57,31 @@ def test_traced_class_resolves(name):
 @pytest.mark.parametrize("module_name", TRACER.AS_FUNCTION_SITES)
 def test_as_function_site_binds_it(module_name):
     assert importlib.import_module(module_name).as_function is as_function
+
+
+def source_nodes(path):
+    return list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "counterexample.py", "solver.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_has_no_assert(path):
+    # Certificate checks must still run under python -O.
+    lines = [node.lineno for node in source_nodes(path) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_imports_only_the_standard_library(path):
+    # The package has zero runtime dependencies.
+    modules = []
+    for node in source_nodes(path):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    foreign = sorted({m for m in modules if m.split(".")[0] not in sys.stdlib_module_names})
+    assert foreign == [], f"{path.name} imports {foreign}"

@@ -14,7 +14,8 @@ decimal renderings are exact truncations. Each invocation emits one
 well-formed JSON document in json mode and a header row in csv mode.
 
 Exit codes: 0 success; 1 malformed input, including an expression nested too
-deeply to parse; 2 boundary-condition or self-map violation; 3 bracket
+deeply to parse and a counterexample depth whose reports hold an integer too
+long to print; 2 boundary-condition or self-map violation; 3 bracket
 returned but unconverged (report still emitted).
 """
 
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .counterexample import CounterexampleReport, run_demo
 from .expr import parse
@@ -254,7 +256,16 @@ def _report_record(report: CounterexampleReport) -> dict:
 
 
 def cmd_counterexample(args) -> int:
-    reports = run_demo(args.depth)
+    # The largest integer a report prints is the last midpoint's numerator,
+    # 2 * isqrt(2 << 2 * depth) + 1, of depth + 2 bits; str() refuses one of
+    # 10 ** limit or more. The bit count spares a huge depth its square root.
+    # Interpreters before 3.10.7 have no such limit, which reads as 0 here.
+    limit, depth = getattr(sys, "get_int_max_str_digits", lambda: 0)(), args.depth
+    if limit and depth >= 1:
+        bound = 10**limit
+        if depth + 2 > bound.bit_length() or 2 * isqrt(2 << 2 * depth) + 1 >= bound:
+            raise ValueError(f"depth {depth} is too deep to print: integers over {limit} digits")
+    reports = run_demo(depth)
     doc = [_report_record(r) for r in reports]
     rows, lines = [], []
     for r, rec in zip(reports, doc):

@@ -5,8 +5,9 @@ each vertex 0 or 1 with 0 at the left end and 1 at the right; the Sperner
 lemma guarantees an adjacent pair carrying both labels (a transition edge).
 Two searches are provided with deliberately different contracts: a linear
 scan returning the first differing edge of either orientation (the trusted
-oracle), and a logarithmic bisection returning some 0-to-1 oriented edge
-(the efficient path used by the solver).
+oracle), and a logarithmic bisection over a finished labeling returning some
+0-to-1 oriented edge. The CLI's sperner command reports both. The solver
+uses neither: it bisects lazily, evaluating only the vertices it queries.
 
 Edge indices are 1-based: edge i joins vertices i-1 and i.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .expr import Expr, as_function
-from .rationals import ParseError, parse_rational
+from .rationals import CertificateError, ParseError, parse_rational
 
 
 class BoundaryConditionError(ValueError):
@@ -123,7 +124,7 @@ def find_transition_scan(labeling: Labeling) -> int:
     for i in range(1, len(labels)):
         if labels[i - 1] != labels[i]:
             return i
-    raise AssertionError("unreachable: boundary condition forces a transition edge")
+    raise CertificateError("unreachable: boundary condition forces a transition edge")
 
 
 def find_transition_bisect(labeling: Labeling) -> int:

@@ -75,6 +75,18 @@ def test_source_has_no_assert(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_raises_no_bare_assertion_error(path):
+    # A failed claim is a CertificateError, so callers can name what failed.
+    lines = [
+        node.lineno
+        for node in source_nodes(path)
+        if isinstance(node, ast.Raise)
+        and getattr(getattr(node.exc, "func", node.exc), "id", None) == "AssertionError"
+    ]
+    assert lines == [], f"raise AssertionError in {path.name} at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_imports_only_the_standard_library(path):
     # The package has zero runtime dependencies.
     modules = []

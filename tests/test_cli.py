@@ -1,10 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import GOLDEN_TRANSCRIPTS, run_cli
-from spernerfix import plmap
+from spernerfix import cli, plmap
 from spernerfix.rationals import parse_rational
 
 
@@ -296,6 +297,47 @@ class TestCounterexample:
         for key in ("lo", "hi", "g_lo", "g_hi", "width", "midpoint", "midpoint_residual"):
             assert key in doc and f"{key}_decimal" in doc
         assert doc["width_decimal"] == "0.500000000000"
+
+    @pytest.fixture
+    def digit_limit(self):
+        # Sets the interpreter's int-to-str digit limit for one test.
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize(
+        "fmt, last_round", [("human", "round 2124: "), ("json", '{"depth":2124,'), ("csv", "\n2124,")]
+    )
+    def test_last_printable_depth_prints(self, digit_limit, fmt, last_round):
+        digit_limit(640)
+        code, stdout, _ = run_cli(["counterexample", "--depth", "2124", "--format", fmt])
+        assert code == 0
+        assert last_round in stdout
+
+    @pytest.mark.parametrize(
+        "limit, depth, runs",
+        [
+            (640, 2124, True),
+            (640, 2125, False),
+            (4300, 14282, True),
+            (4300, 14283, False),
+            (4300, 10**18, False),
+            (0, 10**6, True),
+        ],
+    )
+    def test_unprintable_depth_refused_before_any_round(
+        self, digit_limit, monkeypatch, limit, depth, runs
+    ):
+        # A limit of 0 is none. The refusal comes before run_demo, so a
+        # depth that could not be printed costs no round.
+        ran = []
+        monkeypatch.setattr(cli, "run_demo", lambda d: ran.append(d) or [])
+        digit_limit(limit)
+        code, stdout, stderr = run_cli(["counterexample", "--depth", str(depth)])
+        assert ran == ([depth] if runs else [])
+        if not runs:
+            assert (code, stdout) == (1, "")
+            assert f"depth {depth} is too deep to print" in stderr
 
 
 class TestArgumentHandling:

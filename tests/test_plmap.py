@@ -1,5 +1,6 @@
 import random
 import textwrap
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -66,14 +67,14 @@ def reference_trace(plmap, samples_per_edge):
         for t in range(samples_per_edge):
             x = vertices[k - 1] + span * Fraction(t, samples_per_edge)
             rows.append((x, pl_evaluate(plmap, x)))
-    rows.append((vertices[-1], plmap.value_at_vertex[-1]))
+    rows.append((vertices[-1], vertices[plmap.target_index[-1]]))
     return rows
 
 
 def reference_fixed_points(plmap):
     """Both residuals of every edge subtracted, then the sign test."""
     vertices = plmap.grid.vertices
-    values = plmap.value_at_vertex
+    values = [vertices[t] for t in plmap.target_index]
     points = []
     for k in range(1, len(vertices)):
         r_left = values[k - 1] - vertices[k - 1]
@@ -85,6 +86,28 @@ def reference_fixed_points(plmap):
                 vertices[k - 1] + r_left * (vertices[k] - vertices[k - 1]) / (r_left - r_right)
             )
     return points
+
+
+def reference_roundtrip(grid, labeling):
+    """Each fixed point's edge located by bisection and checked there, then
+    the located edges compared with the hetero-labeled ones."""
+    points = reference_fixed_points(pl_from_labeling(grid, labeling))
+    if not points:
+        raise CertificateError("no fixed point, though the boundary condition guarantees one")
+    labels, vertices = labeling.labels, grid.vertices
+    witnesses = []
+    for x in points:
+        k = max(bisect_left(vertices, x), 1)
+        pair = (labels[k - 1], labels[k])
+        if not vertices[k - 1] < x < vertices[k]:
+            raise CertificateError(f"fixed point {x} is not interior to edge {k}")
+        if pair[0] == pair[1]:
+            raise CertificateError(f"fixed point {x} lies on the monochromatic edge {k}")
+        witnesses.append(FixedPointWitness(x, k, pair))
+    hetero_edges = {k for k in range(1, len(labels)) if labels[k - 1] != labels[k]}
+    if sorted(w.edge for w in witnesses) != sorted(hetero_edges):
+        raise CertificateError("hetero-labeled edges and fixed points do not correspond one-to-one")
+    return witnesses
 
 
 def outcome(fn, *args):
@@ -99,7 +122,8 @@ class TestPLFromLabeling:
     def test_shift_rule(self):
         plmap = pl_from_labeling(UNIT_GRID_3, Labeling((0, 0, 1)))
         assert plmap.target_index == (1, 2, 1)
-        assert plmap.value_at_vertex == (Fraction(1), Fraction(2), Fraction(1))
+        images = [pl_evaluate(plmap, v) for v in UNIT_GRID_3.vertices]
+        assert images == [Fraction(1), Fraction(2), Fraction(1)]
 
     def test_minimal_swap(self):
         grid = Grid((Fraction(0), Fraction(1)))
@@ -133,7 +157,9 @@ class TestPLFromLabeling:
 
         monkeypatch.setattr(Fraction, "__hash__", no_hash)
         plmap = pl_from_labeling(grid, labeling)
-        assert plmap.value_at_vertex == tuple(grid.vertices[t] for t in plmap.target_index)
+        assert plmap.target_index == tuple(
+            j + 1 if lab == 0 else j - 1 for j, lab in enumerate(labeling.labels)
+        )
 
 
 class TestPLEvaluate:
@@ -144,7 +170,7 @@ class TestPLEvaluate:
     def test_vertex_hit_returns_vertex_value(self):
         plmap = PLMap(UNIT_GRID_3, (1, 2, 1))
         for j, v in enumerate(UNIT_GRID_3.vertices):
-            assert pl_evaluate(plmap, v) == plmap.value_at_vertex[j]
+            assert pl_evaluate(plmap, v) == UNIT_GRID_3.vertices[plmap.target_index[j]]
 
     def test_swap_map(self):
         grid = Grid((Fraction(0), Fraction(1)))
@@ -184,7 +210,8 @@ class TestPLEvaluate:
     def test_any_grid_vertex_is_a_target(self):
         plmap = PLMap(UNIT_GRID_3, [2, 2, 0])
         assert plmap.target_index == (2, 2, 0)
-        assert plmap.value_at_vertex == (Fraction(2), Fraction(2), Fraction(0))
+        images = [pl_evaluate(plmap, v) for v in UNIT_GRID_3.vertices]
+        assert images == [Fraction(2), Fraction(2), Fraction(0)]
         assert plmap == PLMap(UNIT_GRID_3, (2, 2, 0))
 
 
@@ -227,6 +254,24 @@ class TestPLFixedPoints:
             checked += isinstance(expected, list)
         assert checked > 60  # the self-image branch alone would prove little
 
+    def test_compares_no_rational(self, monkeypatch):
+        # Signs come from the target indices, so once the grid is validated
+        # no vertex is compared, not even on the self-image path.
+        class Watched(Fraction):
+            pass
+
+        def no_comparison(*args):
+            raise AssertionError("a rational was compared")
+
+        plmaps = [
+            PLMap(Grid(tuple(Watched(v) for v in p.grid.vertices)), p.target_index)
+            for p in seeded_plmaps(32, 60)
+        ]
+        expected = [outcome(reference_fixed_points, p) for p in plmaps]
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Watched, name, no_comparison)
+        assert [outcome(pl_fixed_points, p) for p in plmaps] == expected
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_self_image_names_the_reference_edge(self, n):
         # Vertex 0 is reported on edge 1, vertex j on edge j (its left edge),
@@ -253,9 +298,10 @@ class TestEdgeResidualSigns:
             for labeling in boundary_respecting_labelings(n):
                 plmap = pl_from_labeling(grid, labeling)
                 labels = labeling.labels
+                images = [grid.vertices[t] for t in plmap.target_index]
                 for k in range(1, n + 1):
-                    r_left = plmap.value_at_vertex[k - 1] - grid.vertices[k - 1]
-                    r_right = plmap.value_at_vertex[k] - grid.vertices[k]
+                    r_left = images[k - 1] - grid.vertices[k - 1]
+                    r_right = images[k] - grid.vertices[k]
                     if labels[k - 1] == labels[k] == 0:
                         assert r_left > 0 and r_right > 0
                     elif labels[k - 1] == labels[k] == 1:
@@ -279,6 +325,7 @@ class TestTheoremRoundtrip:
             grid = integer_grid(n)
             for labeling in boundary_respecting_labelings(n):
                 witnesses = theorem_roundtrip(grid, labeling)
+                assert witnesses == reference_roundtrip(grid, labeling)
                 hetero = sum(
                     1
                     for k in range(1, n + 1)
@@ -294,7 +341,7 @@ class TestTheoremRoundtrip:
             n = rng.randint(1, 10)
             grid = random_grid(rng, n)
             labeling = Labeling((0, *(rng.randint(0, 1) for _ in range(n - 1)), 1))
-            theorem_roundtrip(grid, labeling)
+            assert theorem_roundtrip(grid, labeling) == reference_roundtrip(grid, labeling)
 
     def test_uniform_grid_midpoint_law(self):
         rng = random.Random(9)
@@ -320,15 +367,18 @@ _LYING_FIXED_POINTS = textwrap.dedent(
     if not sys.flags.optimize:
         sys.exit("not running under python -O")
     grid = Grid(tuple(Fraction(i) for i in range(4)))
-    labeling = Labeling((0, 1, 1, 1))  # one hetero edge, 1, holding 1/2
+    one_edge = Labeling((0, 1, 1, 1))  # one hetero edge, 1, holding 1/2
+    three_edges = Labeling((0, 1, 0, 1))  # hetero edges 1, 2 and 3
     real = plmap.pl_fixed_points
     fakes = [
-        lambda pl: [],  # no fixed point at all
-        lambda pl: [Fraction(1)],  # a vertex, not interior to its edge
-        lambda pl: [Fraction(5, 2)],  # inside the monochromatic edge 3
-        lambda pl: real(pl) * 2,  # edge 1 twice
+        (one_edge, lambda pl: []),  # no fixed point at all
+        (one_edge, lambda pl: [Fraction(1)]),  # a vertex, not interior to its edge
+        (one_edge, lambda pl: [Fraction(5, 2)]),  # inside the monochromatic edge 3
+        (one_edge, lambda pl: real(pl) * 2),  # edge 1 twice
+        (one_edge, lambda pl: [Fraction(-1)]),  # left of the grid
+        (three_edges, lambda pl: real(pl)[::-1]),  # every point, in reverse order
     ]
-    for fake in fakes:
+    for labeling, fake in fakes:
         plmap.pl_fixed_points = fake
         try:
             plmap.theorem_roundtrip(grid, labeling)
@@ -348,7 +398,7 @@ def test_checks_survive_python_O():
     # pl_fixed_points must still catch a lying fixed-point list.
     done = run_python_O(_LYING_FIXED_POINTS)
     assert done.returncode == 0, done.stderr
-    assert len(done.stdout.splitlines()) == 5, done.stdout
+    assert len(done.stdout.splitlines()) == 7, done.stdout
 
 
 class TestSolverCrossCheck:
@@ -403,14 +453,24 @@ class TestTrace:
             assert all(type(x) is type(y) is Fraction for x, y in rows)
 
     def test_no_per_sample_search(self, monkeypatch):
+        # pl_trace, pl_fixed_points and theorem_roundtrip locate no point by
+        # search: only pl_evaluate searches for its edge.
         def no_search(*args):
-            raise AssertionError("pl_trace located a sample by search")
+            raise AssertionError("a point was located by search")
 
-        plmap = next(seeded_plmaps(50, 1))
-        expected = reference_trace(plmap, 5)
-        monkeypatch.setattr(plmap_module, "_edge_index", no_search)
+        plmap = next(seeded_plmaps(50, 1))  # built from a labeling
+        grid = plmap.grid
+        labeling = Labeling(tuple(int(t < j) for j, t in enumerate(plmap.target_index)))
+        expected = (
+            reference_trace(plmap, 5),
+            reference_fixed_points(plmap),
+            reference_roundtrip(grid, labeling),
+        )
+        monkeypatch.setattr(plmap_module, "bisect_left", no_search)
         monkeypatch.setattr(plmap_module, "pl_evaluate", no_search)
-        assert pl_trace(plmap, 5) == expected
+        assert pl_trace(plmap, 5) == expected[0]
+        assert pl_fixed_points(plmap) == expected[1]
+        assert theorem_roundtrip(grid, labeling) == expected[2]
 
     def test_row_budget_boundary(self, monkeypatch):
         # samples_per_edge * edges + 1 rows: 3 * 2 + 1 = 7 fit a budget of 7.

@@ -27,12 +27,13 @@ import os
 import sys
 from fractions import Fraction
 from math import isqrt
+from typing import get_args
 
 from .counterexample import CounterexampleReport, run_demo
 from .expr import parse
 from .plmap import pl_evaluate, pl_fixed_points, pl_from_labeling, pl_trace
 from .rationals import decimal_string, parse_rational
-from .solver import SolverConfig, solve
+from .solver import Mode, SolverConfig, solve
 from .sperner import (
     BoundaryConditionError,
     ExactVertex,
@@ -113,11 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="expression text, or - to read it from stdin")
     p.add_argument("a", help="left endpoint (rational literal)")
     p.add_argument("b", help="right endpoint (rational literal)")
-    p.add_argument("--epsilon", default="1/1000000", help="target residual bound")
+    p.add_argument("--epsilon", default=str(SolverConfig.epsilon), help="target residual bound")
     p.add_argument("--lipschitz", default=None, help="declared Lipschitz bound for f")
-    p.add_argument("--branching", type=int, default=2, help="subintervals per round")
-    p.add_argument("--max-rounds", type=int, default=64, dest="max_rounds")
-    p.add_argument("--mode", choices=["refine", "single_grid"], default="refine")
+    p.add_argument(
+        "--branching", type=int, default=SolverConfig.branching, help="subintervals per round"
+    )
+    p.add_argument("--max-rounds", type=int, default=SolverConfig.max_rounds, dest="max_rounds")
+    p.add_argument("--mode", choices=get_args(Mode), default=SolverConfig.mode)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(

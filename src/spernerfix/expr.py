@@ -16,9 +16,11 @@ Grammar (version 1), with standard precedence and left association::
             | "ifneg" "(" expr "," expr "," expr ")"
 
 A rational literal is an optional sign, a decimal integer, and optionally a
-"/" followed by a positive decimal integer, with no interior whitespace.
-Maximal munch applies: ``3/7`` is the single constant 3/7, while ``3 / 7``
-is a division node. The two evaluate identically.
+"/" followed by a positive decimal integer, with no interior whitespace:
+the pattern in `rationals` that `parse_rational` uses, matched at the start
+of a factor. Maximal munch applies: ``3/7`` is the single constant 3/7,
+while ``3 / 7`` is a division node. The two evaluate identically. A sign
+binds only at the start of a factor, so ``1 -2`` is a subtraction.
 
 Continuity is deliberately not checked or inferred; solver guarantees that
 depend on it are conditional on caller-declared properties.
@@ -26,12 +28,13 @@ depend on it are conditional on caller-declared properties.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Union
 
-from .rationals import ParseError
+from .rationals import _LITERAL_RE, ParseError, _literal_value
 
 
 class _Node:
@@ -222,129 +225,82 @@ def parse(text: str) -> Expr:
         e = parser.parse_expr()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    parser.skip_ws()
-    if parser.pos != len(text):
+    if parser.peek():
         raise ParseError("unexpected trailing input", parser.pos)
     return e
 
 
-def _is_digit(c: str) -> bool:
-    # ASCII only; str.isdigit admits characters int() rejects
-    return "0" <= c <= "9"
-
-
 class _Parser:
-    """Recursive-descent parser over the raw string, tracking offsets."""
+    """Recursive-descent parser over the raw string, tracking offsets. It scans
+    with regular expressions: a literal is one match of the pattern in rationals."""
+
+    space = re.compile(r"\s*").match
+    word = re.compile(r"\w+").match
+    literal = _LITERAL_RE.match
+    sums = {"+": Add, "-": Sub}
+    products = {"*": Mul, "/": Div}
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def peek(self) -> str | None:
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def peek(self) -> str:
+        """Skip whitespace (the regex runs only at a space, for speed); the next character or ""."""
+        text, pos = self.text, self.pos
+        c = text[pos : pos + 1]
+        if c.isspace():
+            pos = self.pos = self.space(text, pos).end()
+            c = text[pos : pos + 1]
+        return c
 
     def expect(self, ch: str) -> None:
-        self.skip_ws()
         if self.peek() != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
     def parse_expr(self) -> Expr:
         e = self.parse_term()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                e = Add(e, self.parse_term())
-            elif c == "-":
-                self.pos += 1
-                e = Sub(e, self.parse_term())
-            else:
-                return e
+        while node := self.sums.get(self.peek()):
+            self.pos += 1
+            e = node(e, self.parse_term())
+        return e
 
     def parse_term(self) -> Expr:
         e = self.parse_factor()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                e = Mul(e, self.parse_factor())
-            elif c == "/":
-                self.pos += 1
-                e = Div(e, self.parse_factor())
-            else:
-                return e
+        while node := self.products.get(self.peek()):
+            self.pos += 1
+            e = node(e, self.parse_factor())
+        return e
 
     def parse_factor(self) -> Expr:
-        self.skip_ws()
-        c = self.peek()
-        if c is None:
-            raise ParseError("unexpected end of input", self.pos)
+        c, start = self.peek(), self.pos
+        if not c:
+            raise ParseError("unexpected end of input", start)
         if c == "(":
             self.pos += 1
             e = self.parse_expr()
             self.expect(")")
             return e
-        if c in "+-" or _is_digit(c):
-            return self.parse_literal()
-        if c.isalpha() or c == "_":
-            return self.parse_identifier()
-        raise ParseError(f"unexpected character {c!r}", self.pos)
-
-    def parse_literal(self) -> Const:
-        # Sign and slash bind only when contiguous with digits; "3 / 7" is a
-        # division, "3/7" a constant.
-        start = self.pos
-        sign = 1
-        if self.peek() in "+-":
-            if self.text[self.pos] == "-":
-                sign = -1
-            self.pos += 1
-        num = self._digits(start)
-        if (
-            self.pos + 1 < len(self.text)
-            and self.text[self.pos] == "/"
-            and _is_digit(self.text[self.pos + 1])
-        ):
-            self.pos += 1
-            den = self._digits(start)
-            if den == 0:
-                raise ParseError("zero denominator in rational literal", start)
-            return Const(Fraction(sign * num, den))
-        return Const(Fraction(sign * num))
-
-    def _digits(self, literal_start: int) -> int:
-        begin = self.pos
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == begin:
-            raise ParseError("expected digits in rational literal", literal_start)
-        return int(self.text[begin : self.pos])
-
-    def parse_identifier(self) -> Expr:
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
+        if c in "+-0123456789":
+            # "3/7" is a constant, "3 / 7" a division, "1 -2" a subtraction
+            match = self.literal(self.text, start)
+            if not match:
+                raise ParseError("expected digits in rational literal", start)
+            self.pos = match.end()
+            return Const(_literal_value(match, start))
+        if not (c.isalpha() or c == "_"):
+            raise ParseError(f"unexpected character {c!r}", start)
+        self.pos = self.word(self.text, start).end()
         name = self.text[start : self.pos]
         if name == "x":
             return Var()
-        if name == "ifneg":
-            self.expect("(")
-            guard = self.parse_expr()
-            self.expect(",")
-            then = self.parse_expr()
-            self.expect(",")
-            orelse = self.parse_expr()
-            self.expect(")")
-            return IfNeg(guard, then, orelse)
-        raise ParseError(f"unknown identifier {name!r}", start)
+        if name != "ifneg":
+            raise ParseError(f"unknown identifier {name!r}", start)
+        self.expect("(")
+        guard = self.parse_expr()
+        self.expect(",")
+        then = self.parse_expr()
+        self.expect(",")
+        orelse = self.parse_expr()
+        self.expect(")")
+        return IfNeg(guard, then, orelse)

@@ -6,18 +6,20 @@ every comparison and every certificate in the package an exact decision, never
 a floating-point approximation. This module adds the small amount of surface
 the rest of the package needs on top of the stdlib type: the error raised when
 such a decision comes out against a certificate, an exact order test against
-sqrt(2), the text literal format used by the CLI, and display-only decimal
-rendering.
+sqrt(2), the text literal format of the CLI and of expression constants, and
+display-only decimal rendering.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-# Literal grammar: optional sign, decimal integer, optional "/" and positive
-# decimal integer denominator. No whitespace anywhere inside the literal.
-_LITERAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+# Literal grammar, also of constants in expressions: optional sign and decimal
+# integer (group 1), optional "/" and positive decimal integer denominator
+# (group 2). ASCII digits only; no whitespace anywhere inside the literal.
+_LITERAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -56,28 +58,33 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational literal such as ``-3/7`` or ``2``.
 
     Stricter than Fraction's constructor: no whitespace, no decimal point,
-    no exponent. Raises ParseError on malformed text or a zero denominator.
-    `str()` of a Fraction inverts this exactly.
+    no exponent. Raises ParseError on malformed text, a zero denominator or
+    too many digits for int(). `str()` of a Fraction inverts this exactly.
     """
-    if not _LITERAL_RE.match(text):
+    match = _LITERAL_RE.fullmatch(text)
+    if not match:
         raise ParseError(f"invalid rational literal {text!r}")
-    num_text, _, den_text = text.partition("/")
-    den = int(den_text or 1)
+    return _literal_value(match)
+
+
+def _literal_value(match: re.Match, position: int | None = None) -> Fraction:
+    """The value of a _LITERAL_RE match; a ParseError gives `position`, else the literal."""
+    where = "" if position is not None else f" {match[0]!r}"
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError:  # the digit limit is all that refuses digits the pattern matched
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"more than {limit} digits in rational literal{where}", position) from None
     if den == 0:
-        raise ParseError(f"zero denominator in rational literal {text!r}")
-    return Fraction(int(num_text), den)
+        raise ParseError(f"zero denominator in rational literal{where}", position)
+    return Fraction(num, den)
 
 
-def decimal_string(q: Fraction, digits: int = 12) -> str:
-    """Render q with `digits` fractional digits, truncated toward zero.
+def decimal_string(q: Fraction) -> str:
+    """Render q with 12 fractional digits, truncated toward zero.
 
     Display only; the result never feeds back into computation.
     """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
     sign = "-" if q < 0 else ""
     whole, rem = divmod(abs(q.numerator), q.denominator)
-    if digits == 0:
-        return f"{sign}{whole}"
-    frac = rem * 10**digits // q.denominator
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{rem * 10**12 // q.denominator:012d}"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, Union
+from typing import Callable, Iterator, Literal, Union, get_args
 
 from .expr import Expr, as_function
 from .rationals import CertificateError
@@ -82,7 +82,7 @@ class SolverConfig:
             raise ValueError("branching must be at least 2")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if self.mode not in ("refine", "single_grid"):
+        if self.mode not in get_args(Mode):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 

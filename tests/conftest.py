@@ -10,6 +10,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import spernerfix
 from spernerfix.cli import main
 from spernerfix.expr import Add, Const, Div, Expr, IfNeg, Mul, Sub, Var, parse
@@ -27,6 +29,14 @@ def run_cli(argv: list[str], stdin_text: str | None = None) -> tuple[int, str, s
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def digit_limit():
+    # Sets the interpreter's int-to-str digit limit for one test.
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 def run_python_O(script: str) -> subprocess.CompletedProcess:

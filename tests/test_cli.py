@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -123,6 +122,27 @@ class TestSolve:
         assert "position" in stderr
 
     @pytest.mark.parametrize(
+        "argv,expected_stderr",
+        [
+            (["solve", "1 + @", "0", "1"], "error: unexpected character '@' (at position 4)\n"),
+            (["solve", "2x", "0", "1"], "error: unexpected trailing input (at position 1)\n"),
+            (
+                ["solve", "- x", "0", "1"],
+                "error: expected digits in rational literal (at position 0)\n",
+            ),
+            (["solve", "ifneg(1, 2)", "0", "1"], "error: expected ',' (at position 10)\n"),
+            (["solve", "foo + 1", "0", "1"], "error: unknown identifier 'foo' (at position 0)\n"),
+            (
+                ["solve", "1/0 + x", "0", "1"],
+                "error: zero denominator in rational literal (at position 0)\n",
+            ),
+            (["solve", "x", "0", "1/0"], "error: zero denominator in rational literal '1/0'\n"),
+        ],
+    )
+    def test_parse_error_stderr_golden(self, argv, expected_stderr):
+        assert run_cli(argv) == (1, "", expected_stderr)
+
+    @pytest.mark.parametrize(
         "argv,stdin_text",
         [
             (["solve", "-", "0", "1"], "(" * 2000 + "x" + ")" * 2000),  # deep in the parser
@@ -134,6 +154,26 @@ class TestSolve:
         assert code == 1
         assert stdout == ""
         assert stderr == "error: expression nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "x + 0*{}", "0", "1"],
+            ["solve", "x", "0", "{}"],
+            ["sperner", "0,1", "--vertices", "0,{}"],
+        ],
+        ids=["in the expression", "as an endpoint", "in --vertices"],
+    )
+    def test_over_long_literal_exit_1(self, digit_limit, argv):
+        # A literal of more digits than int() converts is refused with the
+        # package's own message, not Python's; one digit fewer still parses.
+        digit_limit(640)
+        code, stdout, stderr = run_cli([arg.format("7" * 640) for arg in argv])
+        assert (code, stderr) == (0, "")
+        code, stdout, stderr = run_cli([arg.format("7" * 641) for arg in argv])
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: more than 640 digits in rational literal")
+        assert "set_int_max_str_digits" not in stderr
 
     def test_5000_term_sum_evaluates(self):
         # the sum is the identity map, so the left endpoint is exactly fixed
@@ -298,13 +338,6 @@ class TestCounterexample:
             assert key in doc and f"{key}_decimal" in doc
         assert doc["width_decimal"] == "0.500000000000"
 
-    @pytest.fixture
-    def digit_limit(self):
-        # Sets the interpreter's int-to-str digit limit for one test.
-        saved = sys.get_int_max_str_digits()
-        yield sys.set_int_max_str_digits
-        sys.set_int_max_str_digits(saved)
-
     @pytest.mark.parametrize(
         "fmt, last_round", [("human", "round 2124: "), ("json", '{"depth":2124,'), ("csv", "\n2124,")]
     )
@@ -362,6 +395,11 @@ class TestArgumentHandling:
     def test_unknown_subcommand_exit_1(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 1
+
+    def test_unknown_mode_exit_1(self):
+        code, stdout, stderr = run_cli(["solve", "x", "0", "1", "--mode", "newton"])
+        assert (code, stdout) == (1, "")
+        assert "invalid choice: 'newton' (choose from 'refine', 'single_grid')" in stderr
 
     def test_missing_required_flag_exit_1(self):
         code, _, _ = run_cli(["counterexample"])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from spernerfix.expr import (
     Add,
     Const,
     Div,
+    Expr,
     IfNeg,
     Mul,
     Sub,
@@ -18,7 +20,7 @@ from spernerfix.expr import (
     parse,
     to_text,
 )
-from spernerfix.rationals import ParseError
+from spernerfix.rationals import ParseError, parse_rational
 
 ONE = Const(Fraction(1))
 TWO = Const(Fraction(2))
@@ -95,6 +97,14 @@ class TestParse:
             parse("1 + @")
         assert info.value.position == 4
 
+    def test_over_long_literal_is_a_parse_error(self, digit_limit):
+        digit_limit(640)
+        assert parse("x + -" + "7" * 640) == Add(Var(), Const(Fraction(-int("7" * 640))))
+        with pytest.raises(ParseError) as info:
+            parse("x + -" + "7" * 641)
+        assert str(info.value) == "more than 640 digits in rational literal (at position 4)"
+        assert info.value.position == 4
+
     @pytest.mark.parametrize(
         "text",
         ["(" * 3000 + "x" + ")" * 3000, "ifneg(" * 2000 + "x" + ", 1, 2)" * 2000],
@@ -103,6 +113,190 @@ class TestParse:
     def test_too_deep_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="^expression nested too deeply$"):
             parse(text)
+
+
+# The hand-written scanner that expr used before literals shared the pattern
+# in rationals, kept as the reference the current parsers must match.
+
+
+def reference_parse(text: str) -> Expr:
+    parser = _ReferenceParser(text)
+    try:
+        e = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise ParseError("unexpected trailing input", parser.pos)
+    return e
+
+
+def _is_digit(c: str) -> bool:
+    # ASCII only; str.isdigit admits characters int() rejects
+    return "0" <= c <= "9"
+
+
+class _ReferenceParser:
+    """Recursive-descent parser over the raw string, tracking offsets."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        if self.pos < len(self.text):
+            return self.text[self.pos]
+        return None
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def expect(self, ch: str) -> None:
+        self.skip_ws()
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def parse_expr(self) -> Expr:
+        e = self.parse_term()
+        while True:
+            self.skip_ws()
+            c = self.peek()
+            if c == "+":
+                self.pos += 1
+                e = Add(e, self.parse_term())
+            elif c == "-":
+                self.pos += 1
+                e = Sub(e, self.parse_term())
+            else:
+                return e
+
+    def parse_term(self) -> Expr:
+        e = self.parse_factor()
+        while True:
+            self.skip_ws()
+            c = self.peek()
+            if c == "*":
+                self.pos += 1
+                e = Mul(e, self.parse_factor())
+            elif c == "/":
+                self.pos += 1
+                e = Div(e, self.parse_factor())
+            else:
+                return e
+
+    def parse_factor(self) -> Expr:
+        self.skip_ws()
+        c = self.peek()
+        if c is None:
+            raise ParseError("unexpected end of input", self.pos)
+        if c == "(":
+            self.pos += 1
+            e = self.parse_expr()
+            self.expect(")")
+            return e
+        if c in "+-" or _is_digit(c):
+            return self.parse_literal()
+        if c.isalpha() or c == "_":
+            return self.parse_identifier()
+        raise ParseError(f"unexpected character {c!r}", self.pos)
+
+    def parse_literal(self) -> Const:
+        # Sign and slash bind only when contiguous with digits; "3 / 7" is a
+        # division, "3/7" a constant.
+        start = self.pos
+        sign = 1
+        if self.peek() in "+-":
+            if self.text[self.pos] == "-":
+                sign = -1
+            self.pos += 1
+        num = self._digits(start)
+        if (
+            self.pos + 1 < len(self.text)
+            and self.text[self.pos] == "/"
+            and _is_digit(self.text[self.pos + 1])
+        ):
+            self.pos += 1
+            den = self._digits(start)
+            if den == 0:
+                raise ParseError("zero denominator in rational literal", start)
+            return Const(Fraction(sign * num, den))
+        return Const(Fraction(sign * num))
+
+    def _digits(self, literal_start: int) -> int:
+        begin = self.pos
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
+            self.pos += 1
+        if self.pos == begin:
+            raise ParseError("expected digits in rational literal", literal_start)
+        return int(self.text[begin : self.pos])
+
+    def parse_identifier(self) -> Expr:
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        name = self.text[start : self.pos]
+        if name == "x":
+            return Var()
+        if name == "ifneg":
+            self.expect("(")
+            guard = self.parse_expr()
+            self.expect(",")
+            then = self.parse_expr()
+            self.expect(",")
+            orelse = self.parse_expr()
+            self.expect(")")
+            return IfNeg(guard, then, orelse)
+        raise ParseError(f"unknown identifier {name!r}", start)
+
+
+_REFERENCE_LITERAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    if not _REFERENCE_LITERAL_RE.match(text):
+        raise ParseError(f"invalid rational literal {text!r}")
+    num_text, _, den_text = text.partition("/")
+    den = int(den_text or 1)
+    if den == 0:
+        raise ParseError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(num_text), den)
+
+
+def parse_outcome(parser, text):
+    """The value, or (type, message, position) of the exception raised."""
+    try:
+        return parser(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# Pieces of the differential test's strings: every token class of the
+# grammar, literals that end badly, a stray character, ASCII and Unicode
+# whitespace, characters that look like digits but are not ASCII digits,
+# and a non-ASCII letter.
+PIECES = list("0123456789+-*/(),x_") + ["ifneg(", "foo", "1/0", "3/", "@"]
+PIECES += [" ", "\t", "\n", "\u00a0", "\u3000", "\u00b2", "\u0663", "\u2167", "\u00e9"]
+
+
+class TestAgainstReferenceParser:
+    def test_seeded_strings_match(self):
+        # At most 12 pieces, so nesting stays far below the recursion limit.
+        rng = random.Random(20261018)
+        parsed = rationals = 0
+        for _ in range(50_000):
+            text = "".join(rng.choices(PIECES, k=rng.randint(1, 12)))
+            expected = parse_outcome(reference_parse, text)
+            assert parse_outcome(parse, text) == expected, text
+            parsed += not isinstance(expected, tuple)
+            expected = parse_outcome(reference_parse_rational, text)
+            assert parse_outcome(parse_rational, text) == expected, text
+            rationals += isinstance(expected, Fraction)
+        # both kinds of success occur, not only errors
+        assert parsed > 1000 and rationals > 100
 
 
 class TestEvaluate:

@@ -13,8 +13,8 @@ boundary as literal strings, never as native floats, including inside JSON;
 decimal renderings are exact truncations. Each invocation emits one
 well-formed JSON document in json mode and a header row in csv mode.
 
-Exit codes: 0 success; 1 malformed input, including an expression nested too
-deeply to parse and a counterexample depth whose reports hold an integer too
+Exit codes: 0 success; 1 malformed input, including a malformed invocation
+and a result or a counterexample depth whose report holds an integer too
 long to print; 2 boundary-condition or self-map violation; 3 bracket
 returned but unconverged (report still emitted).
 """
@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import get_args
 
@@ -52,14 +53,6 @@ FORMAT_ENV_VAR = "SPERNERFIX_FORMAT"
 _SOLVE_COLUMNS = "result,mode,rounds_used,converged,x,lo,hi,g_lo,g_hi,width".split(",")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # Malformed invocations exit 1; argparse's default of 2 is reserved for
-    # boundary/self-map violations.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _default_format() -> str:
     value = os.environ.get(FORMAT_ENV_VAR, "")
     return value if value in FORMATS else "human"
@@ -67,6 +60,27 @@ def _default_format() -> str:
 
 def _human(q: Fraction) -> str:
     return f"{q} ({decimal_string(q)})"
+
+
+@cache
+def _power_of_ten(n: int) -> int:
+    return 10**n  # tens of microseconds at the default n of 4300: once per n
+
+
+def _digit_limit() -> tuple[int, int]:
+    """The interpreter's int-to-string digit limit and 10 ** limit, the least
+    integer str() refuses; (0, 0) when there is none: a limit of 0, or an
+    interpreter before 3.10.7."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit, _power_of_ten(limit) if limit else 0
+
+
+def _check_printable(values) -> None:
+    """Refuse rationals with an integer that str() would refuse, before any
+    text is built, so a refused result prints nothing."""
+    limit, bound = _digit_limit()
+    if bound and any(abs(q.numerator) >= bound or q.denominator >= bound for q in values):
+        raise ValueError(f"the result is too long to print: integers over {limit} digits")
 
 
 def _emit(fmt: str, doc, columns: list[str], rows: list[list[str]], lines: list[str]) -> None:
@@ -83,7 +97,7 @@ def _emit(fmt: str, doc, columns: list[str], rows: list[list[str]], lines: list[
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
         choices=FORMATS,
@@ -91,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default from SPERNERFIX_FORMAT, else human)",
     )
 
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="spernerfix",
         description="Certified one-dimensional fixed-point search over exact rationals.",
     )
@@ -185,12 +199,14 @@ def cmd_solve(args) -> int:
     # `fields` holds the CSV cells by column; the JSON document has the same
     # keys in the same order, with typed values and decimal companions.
     if isinstance(result, ExactVertex):
+        _check_printable([result.x])
         fields = {"result": "exact", "mode": config.mode, "x": str(result.x)}
         doc = {**fields, "x_decimal": decimal_string(result.x)}
         lines = [f"exact fixed point: {_human(result.x)}"]
         code = 0
     else:
         values = {key: getattr(result, key) for key in ("lo", "hi", "g_lo", "g_hi", "width")}
+        _check_printable(values.values())
         fields = {
             "result": "bracket",
             "mode": config.mode,
@@ -223,16 +239,20 @@ def cmd_plmap(args) -> int:
             raise ValueError("the eval action requires an evaluation point")
         x = parse_rational(args.x)
         value = pl_evaluate(plmap, x)
+        _check_printable([value])
         columns, rows = ["x", "value"], [[str(x), str(value)]]
         doc = {"x": str(x), "value": str(value), "value_decimal": decimal_string(value)}
         lines = [f"value at {x}: {_human(value)}"]
     elif args.action == "fixed-points":
         points = pl_fixed_points(plmap)
+        _check_printable(points)
         doc = [str(p) for p in points]
         columns, rows = ["fixed_point"], [[p] for p in doc]
         lines = [_human(p) for p in points]
     else:
-        doc = rows = [[str(x), str(y)] for x, y in pl_trace(plmap, args.resolution)]
+        samples = pl_trace(plmap, args.resolution)
+        _check_printable(q for sample in samples for q in sample)
+        doc = rows = [[str(x), str(y)] for x, y in samples]
         columns = ["x", "value"]
         lines = [f"{x} -> {y}" for x, y in rows]
     _emit(args.format, doc, columns, rows, lines)
@@ -260,12 +280,10 @@ def _report_record(report: CounterexampleReport) -> dict:
 
 def cmd_counterexample(args) -> int:
     # The largest integer a report prints is the last midpoint's numerator,
-    # 2 * isqrt(2 << 2 * depth) + 1, of depth + 2 bits; str() refuses one of
-    # 10 ** limit or more. The bit count spares a huge depth its square root.
-    # Interpreters before 3.10.7 have no such limit, which reads as 0 here.
-    limit, depth = getattr(sys, "get_int_max_str_digits", lambda: 0)(), args.depth
-    if limit and depth >= 1:
-        bound = 10**limit
+    # 2 * isqrt(2 << 2 * depth) + 1, of depth + 2 bits. The bit count spares
+    # a huge depth its square root.
+    (limit, bound), depth = _digit_limit(), args.depth
+    if bound and depth >= 1:
         if depth + 2 > bound.bit_length() or 2 * isqrt(2 << 2 * depth) + 1 >= bound:
             raise ValueError(f"depth {depth} is too deep to print: integers over {limit} digits")
     reports = run_demo(depth)
@@ -289,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 2 on a malformed invocation, but 2 means a boundary
+        # or self-map violation here
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (BoundaryConditionError, NonSelfMapError) as exc:

@@ -6,7 +6,10 @@ guards: constants, the variable x, the four field operations, and
 `else` otherwise (including guard(x) = 0). Evaluation is exact; the only
 possible runtime failure is division by zero. Each expression is compiled
 once, on its first evaluation, to postfix code that `evaluate` runs
-iteratively, so evaluation does not recurse however deep the expression.
+iteratively. Parsing, `to_text` and compiling also run over explicit
+stacks: nothing in this module recurses, so any expression that fits in
+memory parses, prints and evaluates. The nodes' ``==``, ``hash`` and
+``repr`` are still the dataclass-generated ones, which do recurse.
 
 Grammar (version 1), with standard precedence and left association::
 
@@ -92,7 +95,12 @@ class IfNeg(_Node):
 
 Expr = Union[Const, Var, Add, Sub, Mul, Div, IfNeg]
 
-_BINARY_TEXT = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# The parser's binary operators by their text, as (precedence, node), all
+# left-associative; and its scanners of whitespace and of names.
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+_BINARY_TEXT = {node: op for op, (_, node) in _BINARY.items()}
+_SPACE = re.compile(r"\s*").match
+_WORD = re.compile(r"\w+").match
 
 # Instructions of the compiled code, each a triple (opcode, p, q): CONST
 # pushes p/q, VAR pushes x, a binary opcode pops its right operand and
@@ -101,7 +109,7 @@ _BINARY_TEXT = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _JUMP_IF_NONNEG, _JUMP = range(8)
 _BINARY_OPCODE = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 # Work items of the compiler: a node to compile, an instruction to emit, or
-# a jump whose target is the next instruction.
+# a jump whose target is the next instruction. to_text uses the first two.
 _NODE, _EMIT, _LAND = range(3)
 
 
@@ -199,108 +207,112 @@ def as_function(f: Expr | Callable[[Fraction], Fraction]) -> Callable[[Fraction]
 
 
 def to_text(e: Expr) -> str:
-    """Fully parenthesized canonical text; parse(to_text(e)) == e structurally."""
-    match e:
-        case Const(value):
-            return str(value)
-        case Var():
-            return "x"
-        case Add() | Sub() | Mul() | Div():
-            op = _BINARY_TEXT[type(e)]
-            return f"({to_text(e.lhs)} {op} {to_text(e.rhs)})"
-        case IfNeg(guard, then, orelse):
-            return f"ifneg({to_text(guard)}, {to_text(then)}, {to_text(orelse)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    """Fully parenthesized canonical text; parse(to_text(e)) == e structurally.
+
+    The text is built with an explicit work stack, so an expression of any
+    depth prints.
+    """
+    parts, work = [], [(_NODE, e)]
+    while work:
+        action, item = work.pop()
+        if action == _EMIT:
+            parts.append(item)
+            continue
+        match item:
+            case Const(value):
+                parts.append(str(value))
+            case Var():
+                parts.append("x")
+            case Add() | Sub() | Mul() | Div():
+                parts.append("(")
+                op = _BINARY_TEXT[type(item)]
+                work += [(_EMIT, ")"), (_NODE, item.rhs), (_EMIT, f" {op} "), (_NODE, item.lhs)]
+            case IfNeg(guard, then, orelse):
+                parts.append("ifneg(")
+                work += [(_EMIT, ")"), (_NODE, orelse), (_EMIT, ", "), (_NODE, then)]
+                work += [(_EMIT, ", "), (_NODE, guard)]
+            case _:
+                raise TypeError(f"not an expression node: {item!r}")
+    return "".join(parts)
 
 
 def parse(text: str) -> Expr:
     """Parse expression text; raises ParseError with a position on bad input.
 
-    Input nested deeper than the interpreter's recursion limit allows, such
-    as 2000 nested parentheses, raises ParseError("expression nested too
-    deeply").
+    One left-to-right scan with regular expressions (a literal is one match
+    of the pattern in rationals) over two explicit stacks: the operands, and
+    the pending binary operators and open groups. Any nesting that fits in
+    memory parses.
     """
-    parser = _Parser(text)
-    try:
-        e = parser.parse_expr()
-    except RecursionError:
-        raise ParseError("expression nested too deeply") from None
-    if parser.peek():
-        raise ParseError("unexpected trailing input", parser.pos)
-    return e
+    pos = 0
 
-
-class _Parser:
-    """Recursive-descent parser over the raw string, tracking offsets. It scans
-    with regular expressions: a literal is one match of the pattern in rationals."""
-
-    space = re.compile(r"\s*").match
-    word = re.compile(r"\w+").match
-    literal = _LITERAL_RE.match
-    sums = {"+": Add, "-": Sub}
-    products = {"*": Mul, "/": Div}
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
+    def peek() -> str:
         """Skip whitespace (the regex runs only at a space, for speed); the next character or ""."""
-        text, pos = self.text, self.pos
+        nonlocal pos
         c = text[pos : pos + 1]
         if c.isspace():
-            pos = self.pos = self.space(text, pos).end()
+            pos = _SPACE(text, pos).end()
             c = text[pos : pos + 1]
         return c
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+    def expect(ch: str) -> None:
+        nonlocal pos
+        if peek() != ch:
+            raise ParseError(f"expected {ch!r}", pos)
+        pos += 1
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while node := self.sums.get(self.peek()):
-            self.pos += 1
-            e = node(e, self.parse_term())
-        return e
-
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while node := self.products.get(self.peek()):
-            self.pos += 1
-            e = node(e, self.parse_factor())
-        return e
-
-    def parse_factor(self) -> Expr:
-        c, start = self.peek(), self.pos
+    operands: list[Expr] = []
+    # (precedence, node) for a binary operator; (0, closers still to read,
+    # IfNeg or None) for a group opened by "ifneg(" or "(".
+    pending: list[tuple] = []
+    while True:
+        # An operand, or the opening of a group that holds one.
+        c, start = peek(), pos
+        if c == "(":
+            pos += 1
+            pending.append((0, ")", None))
+            continue
         if not c:
             raise ParseError("unexpected end of input", start)
-        if c == "(":
-            self.pos += 1
-            e = self.parse_expr()
-            self.expect(")")
-            return e
         if c in "+-0123456789":
             # "3/7" is a constant, "3 / 7" a division, "1 -2" a subtraction
-            match = self.literal(self.text, start)
+            match = _LITERAL_RE.match(text, start)
             if not match:
                 raise ParseError("expected digits in rational literal", start)
-            self.pos = match.end()
-            return Const(_literal_value(match, start))
-        if not (c.isalpha() or c == "_"):
+            pos = match.end()
+            operands.append(Const(_literal_value(match, start)))
+        elif not (c.isalpha() or c == "_"):
             raise ParseError(f"unexpected character {c!r}", start)
-        self.pos = self.word(self.text, start).end()
-        name = self.text[start : self.pos]
-        if name == "x":
-            return Var()
-        if name != "ifneg":
-            raise ParseError(f"unknown identifier {name!r}", start)
-        self.expect("(")
-        guard = self.parse_expr()
-        self.expect(",")
-        then = self.parse_expr()
-        self.expect(",")
-        orelse = self.parse_expr()
-        self.expect(")")
-        return IfNeg(guard, then, orelse)
+        else:
+            pos = _WORD(text, start).end()
+            name = text[start:pos]
+            if name == "ifneg":
+                expect("(")
+                pending.append((0, ",,)", IfNeg))
+                continue
+            if name != "x":
+                raise ParseError(f"unknown identifier {name!r}", start)
+            operands.append(Var())
+        # Operators and closers after an operand, up to one that needs another.
+        while True:
+            c = peek()
+            prec, node = _BINARY.get(c, (1, None))
+            # apply the pending operators that bind at least as tightly
+            while pending and pending[-1][0] >= prec:
+                rhs = operands.pop()
+                operands[-1] = pending.pop()[1](operands[-1], rhs)
+            if node:
+                pos += 1
+                pending.append((prec, node))
+                break
+            if not pending:
+                if c:
+                    raise ParseError("unexpected trailing input", pos)
+                return operands[0]
+            _, closers, build = pending.pop()
+            expect(closers[0])
+            if closers[1:]:
+                pending.append((0, closers[1:], build))
+                break
+            if build:
+                operands[-3:] = [build(*operands[-3:])]

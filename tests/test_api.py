@@ -97,3 +97,35 @@ def test_source_imports_only_the_standard_library(path):
             modules.append(node.module)
     foreign = sorted({m for m in modules if m.split(".")[0] not in sys.stdlib_module_names})
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+def recursive_functions(path):
+    """Names of the functions and methods defined in path that can reach a
+    call of themselves, with calls resolved by name or by `self.` attribute."""
+    calls = {}
+    for fn in source_nodes(path):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callees = calls.setdefault(fn.name, set())
+            for node in ast.walk(fn):
+                func = node.func if isinstance(node, ast.Call) else None
+                if isinstance(func, ast.Name):
+                    callees.add(func.id)
+                elif isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "self":
+                    callees.add(func.attr)
+    recursive = []
+    for name, callees in calls.items():
+        reached, todo = set(), list(callees)
+        while todo:
+            callee = todo.pop()
+            if callee in calls and callee not in reached:
+                reached.add(callee)
+                todo += calls[callee]
+        if name in reached:
+            recursive.append(name)
+    return sorted(recursive)
+
+
+def test_nothing_in_expr_recurses():
+    # Parsing, printing, compiling and evaluating keep their own stacks, so
+    # an expression's depth is limited by memory, not by the interpreter's stack.
+    assert recursive_functions(ROOT / "src" / "spernerfix" / "expr.py") == []

@@ -137,23 +137,26 @@ class TestSolve:
                 "error: zero denominator in rational literal (at position 0)\n",
             ),
             (["solve", "x", "0", "1/0"], "error: zero denominator in rational literal '1/0'\n"),
+            (["solve", "(1", "0", "1"], "error: expected ')' (at position 2)\n"),
+            (["solve", "ifneg(1 2, 3)", "0", "1"], "error: expected ',' (at position 8)\n"),
+            (["solve", "ifneg 1", "0", "1"], "error: expected '(' (at position 6)\n"),
+            (["solve", "(1, 2)", "0", "1"], "error: expected ')' (at position 2)\n"),
+            (["solve", "1)", "0", "1"], "error: unexpected trailing input (at position 1)\n"),
+            (["solve", "ifneg(1, 2, 3", "0", "1"], "error: expected ')' (at position 13)\n"),
+            (
+                ["solve", "ifneg(x, 1, 2) 3", "0", "1"],
+                "error: unexpected trailing input (at position 15)\n",
+            ),
         ],
     )
     def test_parse_error_stderr_golden(self, argv, expected_stderr):
         assert run_cli(argv) == (1, "", expected_stderr)
 
-    @pytest.mark.parametrize(
-        "argv,stdin_text",
-        [
-            (["solve", "-", "0", "1"], "(" * 2000 + "x" + ")" * 2000),  # deep in the parser
-        ],
-        ids=["2000 nested parentheses on stdin"],
-    )
-    def test_deep_input_exit_1(self, argv, stdin_text):
-        code, stdout, stderr = run_cli(argv, stdin_text=stdin_text)
-        assert code == 1
-        assert stdout == ""
-        assert stderr == "error: expression nested too deeply\n"
+    def test_deep_input_solves(self):
+        # 2000 nested parentheses on stdin: nesting has no limit but memory
+        text = "(" * 2000 + "x" + ")" * 2000
+        code, stdout, stderr = run_cli(["solve", "-", "0", "1"], stdin_text=text)
+        assert (code, stdout, stderr) == (0, "exact fixed point: 0 (0.000000000000)\n", "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -373,7 +376,120 @@ class TestCounterexample:
             assert f"depth {depth} is too deep to print" in stderr
 
 
+_SEVENS, _NINES = "7" * 400, "9" * 640
+
+# Results with an integer of more than 640 digits, from inputs of at most 640.
+_UNPRINTABLE = [
+    ["solve", f"1/{_SEVENS} * 1/{_SEVENS}", "0", "1", "--max-rounds", "2"],  # g(lo) = 1/N**2
+    ["solve", f"1/{_NINES} / 2", "0", f"1/{_NINES}"],  # exact fixed point 1/(2N)
+    ["plmap", "0,1", f"--vertices=0,{_NINES}", "eval", "1/3"],  # value N - 1/3
+    ["plmap", "0,1", f"--vertices=0,1/{_NINES}", "fixed-points"],  # 1/(2N)
+    ["plmap", "0,1", f"--vertices=0,1/{_NINES}", "trace", "--resolution", "2"],  # 1/(2N)
+]
+
+
+class TestOutputLimit:
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize(
+        "argv",
+        _UNPRINTABLE,
+        ids=["solve bracket", "solve exact", "plmap eval", "plmap fixed-points", "plmap trace"],
+    )
+    def test_unprintable_result_exit_1(self, digit_limit, argv, fmt):
+        # The package's message, not Python's, and nothing on stdout.
+        digit_limit(640)
+        assert run_cli([*argv, "--format", fmt]) == (
+            1,
+            "",
+            "error: the result is too long to print: integers over 640 digits\n",
+        )
+
+    def test_last_printable_integer_prints(self, digit_limit):
+        digit_limit(640)
+        code, stdout, stderr = run_cli(["plmap", "0,1", f"--vertices=0,{_NINES}", "eval", "0"])
+        assert (code, stdout, stderr) == (0, f"value at 0: {_NINES} ({_NINES}.000000000000)\n", "")
+
+
+_SOLVE_USAGE = (
+    "usage: spernerfix solve [-h] [--format {human,json,csv}] [--epsilon EPSILON]\n"
+    "                        [--lipschitz LIPSCHITZ] [--branching BRANCHING]\n"
+    "                        [--max-rounds MAX_ROUNDS]\n"
+    "                        [--mode {refine,single_grid}]\n"
+    "                        expr a b\n"
+)
+_TOP_USAGE = "usage: spernerfix [-h] {sperner,solve,plmap,counterexample} ...\n"
+
+# argparse's own transcripts at a terminal width of 80 columns: (argv, exit
+# code, stdout, stderr).
+_ARGPARSE_TRANSCRIPTS = [
+    (
+        ["solve", "--mode", "bogus", "x", "0", "1"],
+        1,
+        "",
+        _SOLVE_USAGE + "spernerfix solve: error: argument --mode: invalid choice: 'bogus' "
+        "(choose from 'refine', 'single_grid')\n",
+    ),
+    (
+        ["solve", "x"],
+        1,
+        "",
+        _SOLVE_USAGE + "spernerfix solve: error: the following arguments are required: a, b\n",
+    ),
+    (
+        ["bogus"],
+        1,
+        "",
+        _TOP_USAGE + "spernerfix: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'sperner', 'solve', 'plmap', 'counterexample')\n",
+    ),
+    (
+        ["sperner"],
+        1,
+        "",
+        "usage: spernerfix sperner [-h] [--format {human,json,csv}]\n"
+        "                          [--vertices VERTICES]\n"
+        "                          labels\n"
+        "spernerfix sperner: error: the following arguments are required: labels\n",
+    ),
+    (
+        ["counterexample", "--depth", "q"],
+        1,
+        "",
+        "usage: spernerfix counterexample [-h] [--format {human,json,csv}] --depth\n"
+        "                                 DEPTH\n"
+        "spernerfix counterexample: error: argument --depth: invalid int value: 'q'\n",
+    ),
+    (
+        ["--help"],
+        0,
+        _TOP_USAGE + "\n"
+        "Certified one-dimensional fixed-point search over exact rationals.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {sperner,solve,plmap,counterexample}\n"
+        "    sperner             find a transition edge of a 0/1 labeling\n"
+        "    solve               locate a fixed point of an expression on [a, b]\n"
+        "    plmap               piecewise-linear extension of a labeled grid\n"
+        "    counterexample      run the rational counterexample demonstration\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+]
+
+
 class TestArgumentHandling:
+    @pytest.mark.parametrize(
+        "argv,code,stdout,stderr",
+        _ARGPARSE_TRANSCRIPTS,
+        ids=[" ".join(argv) for argv, *_ in _ARGPARSE_TRANSCRIPTS],
+    )
+    def test_transcript_golden(self, monkeypatch, argv, code, stdout, stderr):
+        # argparse wraps usage to the terminal width, read from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(argv) == (code, stdout, stderr)
+
     def test_env_var_sets_default_format(self, monkeypatch):
         monkeypatch.setenv("SPERNERFIX_FORMAT", "json")
         code, stdout, _ = run_cli(["sperner", "0,0,1,1"])

@@ -105,14 +105,22 @@ class TestParse:
         assert str(info.value) == "more than 640 digits in rational literal (at position 4)"
         assert info.value.position == 4
 
-    @pytest.mark.parametrize(
-        "text",
-        ["(" * 3000 + "x" + ")" * 3000, "ifneg(" * 2000 + "x" + ", 1, 2)" * 2000],
-        ids=["3000 nested parentheses", "2000 nested ifneg"],
-    )
-    def test_too_deep_is_a_parse_error(self, text):
-        with pytest.raises(ParseError, match="^expression nested too deeply$"):
-            parse(text)
+    def test_deep_parentheses_parse(self):
+        # The parser keeps its own stacks, so only memory limits nesting.
+        e = parse("(" * 100_000 + "x" + ")" * 100_000)
+        assert e == Var()
+        assert evaluate(e, Fraction(-1, 3)) == Fraction(-1, 3)
+
+    def test_deep_ifneg_parses(self):
+        n = 20_000
+        text = "ifneg(" * n + "x" + ", -1, 1)" * n
+        e = parse(text)
+        # every guard is the value of the ifneg it holds, so the sign of x carries out
+        assert evaluate(e, Fraction(-1, 3)) == -1
+        assert evaluate(e, Fraction(1, 3)) == 1
+        # The text is canonical, so this is also to_text(parse(to_text(e))) ==
+        # to_text(e), compared as text: the dataclass == recurses at this depth.
+        assert to_text(e) == text
 
 
 # The hand-written scanner that expr used before literals shared the pattern
@@ -282,9 +290,51 @@ PIECES = list("0123456789+-*/(),x_") + ["ifneg(", "foo", "1/0", "3/", "@"]
 PIECES += [" ", "\t", "\n", "\u00a0", "\u3000", "\u00b2", "\u0663", "\u2167", "\u00e9"]
 
 
+# Atoms and whitespace of the grammar-generated strings.
+ATOMS = ["x", "0", "7", "10", "-3", "+2", "3/7", "-12/5"]
+SPACES = ["", "", "", " ", "  ", "\t", "\n", "\u00a0"]
+
+
+def gen_text(rng: random.Random, depth: int) -> str:
+    """Expression text from the grammar with random whitespace, its groups
+    nested at most `depth` deep; mostly chains, so the text stays short."""
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        text = rng.choice(ATOMS)
+    elif r < 0.8:
+        text = "(" + gen_text(rng, depth - 1) + ")"
+    elif r < 0.9:
+        return gen_text(rng, depth - 1) + rng.choice("+-*/") + gen_text(rng, depth - 1)
+    else:
+        text = "ifneg({},{},{})".format(*(gen_text(rng, depth - 1) for _ in range(3)))
+    return rng.choice(SPACES) + text + rng.choice(SPACES)
+
+
+def edit(rng: random.Random, text: str) -> str:
+    """text with one piece inserted, one character deleted, or one replaced."""
+    k = rng.randint(0, len(text))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:k] + rng.choice(PIECES) + text[k:]
+    return text[:k] + (rng.choice(PIECES) if kind == 2 else "") + text[k + 1 :]
+
+
 class TestAgainstReferenceParser:
+    def test_grammar_generated_strings_match(self):
+        # Groups nest at most 12 deep, far below the reference's recursion limit.
+        rng = random.Random(20261019)
+        parsed = 0
+        for _ in range(50_000):
+            text = gen_text(rng, rng.randint(0, 12))
+            for _ in range(rng.randint(0, 2)):
+                text = edit(rng, text)
+            expected = parse_outcome(reference_parse, text)
+            assert parse_outcome(parse, text) == expected, text
+            parsed += not isinstance(expected, tuple)
+        assert parsed >= 50_000 // 3
+
     def test_seeded_strings_match(self):
-        # At most 12 pieces, so nesting stays far below the recursion limit.
+        # At most 12 pieces, so nesting stays far below the reference's recursion limit.
         rng = random.Random(20261018)
         parsed = rationals = 0
         for _ in range(50_000):
@@ -467,3 +517,16 @@ class TestToText:
         for _ in range(300):
             e = gen_expr(rng, rng.randint(0, 6))
             assert parse(to_text(e)) == e
+
+    def test_deep_sum_round_trip(self):
+        # Compared as text: the dataclass == still recurses on trees this deep.
+        # TestParse.test_deep_ifneg_parses prints 20000 nested ifneg.
+        n = 20_000
+        printed = to_text(parse("+".join(["x/3"] * n)))
+        assert printed == "(" * (n - 1) + "(x / 3)" + " + (x / 3))" * (n - 1)
+        assert to_text(parse(printed)) == printed
+
+    @pytest.mark.parametrize("e", ["x", Add(Var(), 3), IfNeg(Var(), ONE, None)])
+    def test_non_node_is_a_type_error(self, e):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            to_text(e)

@@ -66,7 +66,6 @@ from .sperner import (
     make_uniform_grid,
     parse_labels,
     parse_vertices,
-    verify_sperner,
 )
 
 __version__ = "0.1.0"
@@ -121,5 +120,4 @@ __all__ = [
     "make_uniform_grid",
     "parse_labels",
     "parse_vertices",
-    "verify_sperner",
 ]

@@ -6,10 +6,10 @@ guards: constants, the variable x, the four field operations, and
 `else` otherwise (including guard(x) = 0). Evaluation is exact; the only
 possible runtime failure is division by zero. Each expression is compiled
 once, on its first evaluation, to postfix code that `evaluate` runs
-iteratively. Parsing, `to_text` and compiling also run over explicit
+iteratively, and that ``==`` and ``hash`` compare. Parsing, and the one
+tree walk that compiling, `to_text` and ``repr`` read, run over explicit
 stacks: nothing in this module recurses, so any expression that fits in
-memory parses, prints and evaluates. The nodes' ``==``, ``hash`` and
-``repr`` are still the dataclass-generated ones, which do recurse.
+memory parses, prints, compares, hashes and evaluates.
 
 Grammar (version 1), with standard precedence and left association::
 
@@ -41,52 +41,59 @@ from .rationals import _LITERAL_RE, ParseError, _literal_value
 
 
 class _Node:
-    """Base of the expression nodes; holds a node's compiled code once built.
-
-    The code lives in the instance __dict__, outside the dataclass fields,
-    so equality, hashing and repr see only the tree.
-    """
+    """Base of the expression nodes; == and hash compare the compiled code, unique to each tree."""
 
     @cached_property
     def _code(self) -> tuple:
         return _compile(self)
 
+    def __eq__(self, other: object) -> bool:
+        return self._code == other._code if isinstance(other, _Node) else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(self._code)
+
+    def __repr__(self) -> str:
+        # a node of a class _REPR lacks (a subclass) shows as an object, not recursively
+        other = lambda item: object.__repr__(item) if isinstance(item, _Node) else repr(item)
+        return _render(self, _REPR, other)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IfNeg(_Node):
     guard: "Expr"
     then: "Expr"
@@ -98,9 +105,19 @@ Expr = Union[Const, Var, Add, Sub, Mul, Div, IfNeg]
 # The parser's binary operators by their text, as (precedence, node), all
 # left-associative; and its scanners of whitespace and of names.
 _BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
-_BINARY_TEXT = {node: op for op, (_, node) in _BINARY.items()}
 _SPACE = re.compile(r"\s*").match
 _WORD = re.compile(r"\w+").match
+
+# The child fields of each node class with children; how to_text and repr
+# spell each class: a leaf's text (a function), or the text around its children.
+_CHILDREN = {node: node.__match_args__ for node in (Add, Sub, Mul, Div, IfNeg)}
+_TEXT = {Const: lambda c: str(c.value), Var: lambda v: "x", IfNeg: ("ifneg(", ", ", ", ", ")")}
+_TEXT |= {node: ("(", f" {op} ", ")") for op, (_, node) in _BINARY.items()}
+_REPR = {Const: lambda c: f"Const(value={c.value!r})", Var: lambda v: "Var()"}
+_REPR |= {
+    node: (f"{node.__name__}({first}=", *(f", {field}=" for field in rest), ")")
+    for node, (first, *rest) in _CHILDREN.items()
+}
 
 # Instructions of the compiled code, each a triple (opcode, p, q): CONST
 # pushes p/q, VAR pushes x, a binary opcode pops its right operand and
@@ -108,46 +125,58 @@ _WORD = re.compile(r"\w+").match
 # instruction p when it is >= 0, JUMP jumps to p.
 _CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _JUMP_IF_NONNEG, _JUMP = range(8)
 _BINARY_OPCODE = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
-# Work items of the compiler: a node to compile, an instruction to emit, or
-# a jump whose target is the next instruction. to_text uses the first two.
-_NODE, _EMIT, _LAND = range(3)
+
+
+def _walk(root: Expr):
+    """The steps (node, i) of a depth-first walk over an explicit stack:
+    (node, 0) on entering a node, then (node, i) after its i-th child. A
+    leaf, or anything that is not a node, is the one step (leaf, 0)."""
+    stack = [(root, 0)]
+    while stack:
+        node, i = stack.pop()
+        yield node, i
+        fields = _CHILDREN.get(type(node), ())
+        if i < len(fields):
+            stack += [(node, i + 1), (getattr(node, fields[i]), 0)]
+
+
+def _render(e: Expr, spelling: dict, other: Callable) -> str:
+    """The text of e, spelled by `spelling`; `other` spells what it lacks."""
+    parts = []
+    for node, i in _walk(e):
+        spell = spelling.get(type(node), other)
+        parts.append(spell[i] if isinstance(spell, tuple) else spell(node))
+    return "".join(parts)
 
 
 def _compile(root: Expr) -> tuple:
-    """Postfix code for root, built with an explicit work stack."""
-    code = []
-    work = [(_NODE, root)]
-    while work:
-        action, item = work.pop()
-        if action == _EMIT:
-            code.append(item)
-            continue
-        if action == _LAND:
-            item[1] = len(code)
-            continue
-        match item:
-            case Const(value):
-                code.append((_CONST, value.numerator, value.denominator))
-            case Var():
-                code.append((_VAR, 0, 0))
-            case Add() | Sub() | Mul() | Div():
-                op = _BINARY_OPCODE[type(item)]
-                work += [(_EMIT, (op, 0, 0)), (_NODE, item.rhs), (_NODE, item.lhs)]
-            case IfNeg(guard, then, orelse):
-                # guard; JUMP_IF_NONNEG to orelse; then; JUMP past orelse; orelse
-                to_else, to_end = [_JUMP_IF_NONNEG, 0, 0], [_JUMP, 0, 0]
-                work += [
-                    (_LAND, to_end),
-                    (_NODE, orelse),
-                    (_LAND, to_else),
-                    (_EMIT, to_end),
-                    (_NODE, then),
-                    (_EMIT, to_else),
-                    (_NODE, guard),
-                ]
-            case _:
-                raise TypeError(f"not an expression node: {item!r}")
-    return tuple(map(tuple, code))
+    """Postfix code for root, read off the steps of its walk."""
+    code, holes = [], []
+    for node, i in _walk(root):
+        kind = type(node)
+        if kind is Const:
+            value = node.value
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"not a rational constant: {value!r}")
+            code.append((_CONST, value.numerator, value.denominator))
+        elif kind is Var:
+            code.append((_VAR, 0, 0))
+        elif kind in _BINARY_OPCODE:
+            if i == 2:
+                code.append((_BINARY_OPCODE[kind], 0, 0))
+        elif kind is IfNeg:
+            # guard; JUMP_IF_NONNEG to orelse; then; JUMP past orelse; orelse:
+            # each jump is a hole in the code until its target is known
+            if i == 2:
+                code[holes.pop()] = (_JUMP_IF_NONNEG, len(code) + 1, 0)
+            elif i == 3:
+                code[holes.pop()] = (_JUMP, len(code), 0)
+            if i in (1, 2):
+                holes.append(len(code))
+                code.append(None)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return tuple(code)
 
 
 def evaluate(e: Expr, x: Fraction) -> Fraction:
@@ -207,33 +236,9 @@ def as_function(f: Expr | Callable[[Fraction], Fraction]) -> Callable[[Fraction]
 
 
 def to_text(e: Expr) -> str:
-    """Fully parenthesized canonical text; parse(to_text(e)) == e structurally.
-
-    The text is built with an explicit work stack, so an expression of any
-    depth prints.
-    """
-    parts, work = [], [(_NODE, e)]
-    while work:
-        action, item = work.pop()
-        if action == _EMIT:
-            parts.append(item)
-            continue
-        match item:
-            case Const(value):
-                parts.append(str(value))
-            case Var():
-                parts.append("x")
-            case Add() | Sub() | Mul() | Div():
-                parts.append("(")
-                op = _BINARY_TEXT[type(item)]
-                work += [(_EMIT, ")"), (_NODE, item.rhs), (_EMIT, f" {op} "), (_NODE, item.lhs)]
-            case IfNeg(guard, then, orelse):
-                parts.append("ifneg(")
-                work += [(_EMIT, ")"), (_NODE, orelse), (_EMIT, ", "), (_NODE, then)]
-                work += [(_EMIT, ", "), (_NODE, guard)]
-            case _:
-                raise TypeError(f"not an expression node: {item!r}")
-    return "".join(parts)
+    """Fully parenthesized canonical text, at any depth; parse(to_text(e)) == e."""
+    # _TEXT spells every node class, and _compile refuses anything else
+    return _render(e, _TEXT, _compile)
 
 
 def parse(text: str) -> Expr:

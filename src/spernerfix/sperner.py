@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .expr import Expr, as_function
 from .rationals import CertificateError, ParseError, parse_rational
@@ -149,17 +149,6 @@ def find_transition_bisect_counted(labeling: Labeling) -> tuple[int, int]:
         else:
             hi = mid
     return hi, queries
-
-
-def verify_sperner(labels: Sequence[int]) -> bool:
-    """Exhaustive-check oracle: does a transition edge exist?
-
-    Accepts raw label vectors. Raises BoundaryConditionError when the vector
-    does not satisfy the boundary condition (that is a precondition failure,
-    not a Sperner failure), ValueError for values outside {0, 1}.
-    """
-    Labeling(labels)
-    return any(labels[i - 1] != labels[i] for i in range(1, len(labels)))
 
 
 # Text forms the CLI reads: labels as "0,0,1,1" and vertices as a CSV of

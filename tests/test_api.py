@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spernerfix
-from spernerfix.expr import as_function
+from spernerfix.expr import Add, Const, Div, IfNeg, Mul, Sub, Var, _Node, as_function
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -129,3 +129,11 @@ def test_nothing_in_expr_recurses():
     # Parsing, printing, compiling and evaluating keep their own stacks, so
     # an expression's depth is limited by memory, not by the interpreter's stack.
     assert recursive_functions(ROOT / "src" / "spernerfix" / "expr.py") == []
+
+
+@pytest.mark.parametrize("node", [Const, Var, Add, Sub, Mul, Div, IfNeg], ids=lambda n: n.__name__)
+def test_node_classes_have_no_generated_methods(node):
+    # The call graph above cannot see methods that dataclass generates; its
+    # ==, hash and repr recurse over the tree, _Node's share one iterative walk.
+    for name in ("__eq__", "__hash__", "__repr__"):
+        assert getattr(node, name) is getattr(_Node, name), name

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import LIPSCHITZ_CORPUS, gen_expr
 from spernerfix import expr as expr_module
+from spernerfix.counterexample import counterexample_expr
 from spernerfix.expr import (
     Add,
     Const,
@@ -118,9 +119,9 @@ class TestParse:
         # every guard is the value of the ifneg it holds, so the sign of x carries out
         assert evaluate(e, Fraction(-1, 3)) == -1
         assert evaluate(e, Fraction(1, 3)) == 1
-        # The text is canonical, so this is also to_text(parse(to_text(e))) ==
-        # to_text(e), compared as text: the dataclass == recurses at this depth.
+        # the text is canonical, so it prints back as itself and parses to an equal tree
         assert to_text(e) == text
+        assert parse(to_text(e)) == e
 
 
 # The hand-written scanner that expr used before literals shared the pattern
@@ -519,14 +520,244 @@ class TestToText:
             assert parse(to_text(e)) == e
 
     def test_deep_sum_round_trip(self):
-        # Compared as text: the dataclass == still recurses on trees this deep.
         # TestParse.test_deep_ifneg_parses prints 20000 nested ifneg.
         n = 20_000
-        printed = to_text(parse("+".join(["x/3"] * n)))
+        e = parse("+".join(["x/3"] * n))
+        printed = to_text(e)
         assert printed == "(" * (n - 1) + "(x / 3)" + " + (x / 3))" * (n - 1)
+        assert parse(printed) == e
         assert to_text(parse(printed)) == printed
 
     @pytest.mark.parametrize("e", ["x", Add(Var(), 3), IfNeg(Var(), ONE, None)])
     def test_non_node_is_a_type_error(self, e):
         with pytest.raises(TypeError, match="^not an expression node: "):
             to_text(e)
+
+
+# The compiler and printer that expr had before one walk served compiling,
+# to_text and repr, kept as the references the current ones must match.
+_CONST, _VAR = expr_module._CONST, expr_module._VAR
+_JUMP_IF_NONNEG, _JUMP = expr_module._JUMP_IF_NONNEG, expr_module._JUMP
+_BINARY_OPCODE = expr_module._BINARY_OPCODE
+_BINARY_TEXT = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_NODE, _EMIT, _LAND = range(3)
+
+
+def reference_compile(root: Expr) -> tuple:
+    """Postfix code for root, built with an explicit work stack."""
+    code = []
+    work = [(_NODE, root)]
+    while work:
+        action, item = work.pop()
+        if action == _EMIT:
+            code.append(item)
+            continue
+        if action == _LAND:
+            item[1] = len(code)
+            continue
+        match item:
+            case Const(value):
+                code.append((_CONST, value.numerator, value.denominator))
+            case Var():
+                code.append((_VAR, 0, 0))
+            case Add() | Sub() | Mul() | Div():
+                op = _BINARY_OPCODE[type(item)]
+                work += [(_EMIT, (op, 0, 0)), (_NODE, item.rhs), (_NODE, item.lhs)]
+            case IfNeg(guard, then, orelse):
+                # guard; JUMP_IF_NONNEG to orelse; then; JUMP past orelse; orelse
+                to_else, to_end = [_JUMP_IF_NONNEG, 0, 0], [_JUMP, 0, 0]
+                work += [
+                    (_LAND, to_end),
+                    (_NODE, orelse),
+                    (_LAND, to_else),
+                    (_EMIT, to_end),
+                    (_NODE, then),
+                    (_EMIT, to_else),
+                    (_NODE, guard),
+                ]
+            case _:
+                raise TypeError(f"not an expression node: {item!r}")
+    return tuple(map(tuple, code))
+
+
+def reference_to_text(e: Expr) -> str:
+    """Fully parenthesized canonical text; parse(to_text(e)) == e structurally.
+
+    The text is built with an explicit work stack, so an expression of any
+    depth prints.
+    """
+    parts, work = [], [(_NODE, e)]
+    while work:
+        action, item = work.pop()
+        if action == _EMIT:
+            parts.append(item)
+            continue
+        match item:
+            case Const(value):
+                parts.append(str(value))
+            case Var():
+                parts.append("x")
+            case Add() | Sub() | Mul() | Div():
+                parts.append("(")
+                op = _BINARY_TEXT[type(item)]
+                work += [(_EMIT, ")"), (_NODE, item.rhs), (_EMIT, f" {op} "), (_NODE, item.lhs)]
+            case IfNeg(guard, then, orelse):
+                parts.append("ifneg(")
+                work += [(_EMIT, ")"), (_NODE, orelse), (_EMIT, ", "), (_NODE, then)]
+                work += [(_EMIT, ", "), (_NODE, guard)]
+            case _:
+                raise TypeError(f"not an expression node: {item!r}")
+    return "".join(parts)
+
+
+NODE_CLASSES = (Const, Var, Add, Sub, Mul, Div, IfNeg)
+
+
+def reference_eq(a, b) -> bool:
+    """The dataclass ==, recursively: same class, and equal fields."""
+    if not isinstance(a, NODE_CLASSES):
+        return a == b
+    return type(a) is type(b) and all(
+        reference_eq(getattr(a, f), getattr(b, f)) for f in a.__match_args__
+    )
+
+
+def reference_repr(e) -> str:
+    """The dataclass repr, recursively; what is not a node shows its own repr."""
+    if not isinstance(e, NODE_CLASSES):
+        return repr(e)
+    fields = ", ".join(f"{f}={reference_repr(getattr(e, f))}" for f in e.__match_args__)
+    return f"{type(e).__name__}({fields})"
+
+
+def nodes_of(e) -> list:
+    """The nodes of e, parent before child."""
+    if isinstance(e, (Const, Var)):
+        return [e]
+    return [e] + [n for f in e.__match_args__ for n in nodes_of(getattr(e, f))]
+
+
+def replaced(e, old, new):
+    """e with the node `old` (by identity) replaced by `new`."""
+    if e is old:
+        return new
+    if isinstance(e, (Const, Var)):
+        return e
+    return type(e)(*(replaced(getattr(e, f), old, new) for f in e.__match_args__))
+
+
+def near_miss(rng: random.Random, e: Expr) -> Expr:
+    """e with one edit at one of its nodes: a changed constant or variable,
+    Add and Sub (or Mul and Div) exchanged, or the children or ifneg
+    branches swapped. The result may still equal e."""
+    node = rng.choice(nodes_of(e))
+    match node:
+        case Const(value):
+            new = Const(value + rng.choice([1, -1, Fraction(1, 7)]))
+        case Var():
+            new = Const(Fraction(0))
+        case IfNeg(guard, then, orelse):
+            new = IfNeg(guard, orelse, then)
+        case _ if rng.random() < 0.5:
+            new = type(node)(node.rhs, node.lhs)
+        case _:
+            swap = {Add: Sub, Sub: Add, Mul: Div, Div: Mul}
+            new = swap[type(node)](node.lhs, node.rhs)
+    return replaced(e, node, new)
+
+
+def chain(n: int, leaf: Expr) -> Expr:
+    """leaf, then n times Add(·, Const(1)) around it: nested n deep."""
+    e = leaf
+    for _ in range(n):
+        e = Add(e, Const(1))
+    return e
+
+
+class TestOneWalk:
+    @pytest.fixture(scope="class")
+    def trees(self):
+        rng = random.Random(20261020)
+        trees = [gen_expr(rng, rng.randint(0, 6)) for _ in range(2000)]
+        return trees + [e for e, *_ in LIPSCHITZ_CORPUS] + [counterexample_expr(), EQ2_AST]
+
+    def test_code_text_and_repr_match_the_references(self, trees):
+        for e in trees:
+            assert expr_module._compile(e) == reference_compile(e), e
+            assert to_text(e) == reference_to_text(e)
+            assert repr(e) == reference_repr(e)
+
+    def test_equality_and_hash_match_the_reference(self, trees):
+        rng = random.Random(20261021)
+        pairs = [(parse(text), parse(text)) for text in map(to_text, trees)]
+        for _ in range(20_000 - len(pairs)):
+            a = rng.choice(trees)
+            pairs.append((a, near_miss(rng, a) if rng.random() < 0.5 else rng.choice(trees)))
+        equal = 0
+        for a, b in pairs:
+            expected = reference_eq(a, b)
+            assert (a == b) is expected and (b == a) is expected, (a, b)
+            assert (a != b) is not expected
+            if expected:
+                assert hash(a) == hash(b)
+                equal += 1
+        # equal pairs occur beyond the texts parsed twice, and unequal ones often
+        assert len(trees) + 100 < equal < 10_000
+
+    def test_equal_values_of_different_types(self):
+        assert Const(2) == Const(Fraction(2)) and hash(Const(2)) == hash(Const(Fraction(2)))
+        assert repr(Const(2)) == "Const(value=2)"
+        assert Var() != ONE and Add(ONE, TWO) != Sub(ONE, TWO)
+        assert Var() != "x" and Var() != None  # noqa: E711
+
+    def test_deep_trees_compare_hash_and_print(self):
+        n = 100_000
+        e, same = chain(n, Var()), chain(n, Var())
+        assert e == same and hash(e) == hash(same)
+        assert e != Add(same.lhs, Const(2))
+        assert repr(e) == "Add(lhs=" * n + "Var()" + ", rhs=Const(value=1))" * n
+
+    @pytest.mark.parametrize(
+        "e, shown, item",
+        [
+            (Add(Var(), 3), "Add(lhs=Var(), rhs=3)", "3"),
+            (
+                IfNeg(Var(), ONE, None),
+                "IfNeg(guard=Var(), then=Const(value=Fraction(1, 1)), orelse=None)",
+                "None",
+            ),
+            (Mul(Var(), [Var()]), "Mul(lhs=Var(), rhs=[Var()])", "[Var()]"),
+        ],
+    )
+    def test_malformed_tree(self, e, shown, item):
+        assert repr(e) == shown
+        message = f"^not an expression node: {re.escape(item)}$"
+        for refused in (lambda: e == Var(), lambda: Var() == e, lambda: hash(e)):
+            with pytest.raises(TypeError, match=message):
+                refused()
+        assert e != 3  # a non-node is never equal, and is not compiled
+
+    def test_node_of_a_subclass_is_not_a_node(self):
+        class Plus(Add):
+            pass
+
+        e = Add(Plus(Var(), ONE), ONE)
+        shown = r"Add\(lhs=<.*\.Plus object at 0x\w+>, rhs=Const\(value=Fraction\(1, 1\)\)\)"
+        assert re.fullmatch(shown, repr(e))
+        for refused in (lambda: e == e, lambda: hash(e), lambda: to_text(e)):
+            with pytest.raises(TypeError, match="^not an expression node: <.*Plus object at"):
+                refused()
+
+    @pytest.mark.parametrize(
+        "e, shown, text",
+        [
+            (Const(0.5), "Const(value=0.5)", "0.5"),
+            (Add(Var(), Const(0.5)), "Add(lhs=Var(), rhs=Const(value=0.5))", "(x + 0.5)"),
+        ],
+    )
+    def test_constant_that_is_not_rational(self, e, shown, text):
+        for refused in (lambda: evaluate(e, Fraction(1)), lambda: e == e, lambda: hash(e)):
+            with pytest.raises(TypeError, match=r"^not a rational constant: 0\.5$"):
+                refused()
+        assert repr(e) == shown
+        assert to_text(e) == text

@@ -20,7 +20,6 @@ from spernerfix.sperner import (
     make_uniform_grid,
     parse_labels,
     parse_vertices,
-    verify_sperner,
 )
 
 
@@ -162,6 +161,11 @@ class TestTransitionScan:
                     differing_edges(labels)
                 )
 
+    @given(labelings)
+    def test_edge_carries_different_labels(self, labeling):
+        edge = find_transition_scan(labeling)
+        assert labeling.labels[edge - 1] != labeling.labels[edge]
+
 
 class TestTransitionBisect:
     def test_single_edge(self):
@@ -189,29 +193,6 @@ class TestTransitionBisect:
         edge = find_transition_bisect(labeling)
         assert labeling.labels[edge - 1] == 0
         assert labeling.labels[edge] == 1
-
-
-class TestVerifySperner:
-    def test_example(self):
-        assert verify_sperner((0, 1, 1)) is True
-
-    def test_exhaustive_n10(self):
-        for labels in boundary_respecting_vectors(10):
-            assert verify_sperner(labels) is True
-
-    def test_boundary_violation_is_not_a_sperner_failure(self):
-        with pytest.raises(BoundaryConditionError):
-            verify_sperner((0, 0))
-
-    def test_bad_values(self):
-        with pytest.raises(ValueError):
-            verify_sperner((0, 2, 1))
-        with pytest.raises(ValueError):
-            verify_sperner((0,))
-
-    @given(labelings)
-    def test_always_true_on_valid_vectors(self, labeling):
-        assert verify_sperner(labeling.labels) is True
 
 
 class TestTextForms:

@@ -220,8 +220,6 @@ def evaluate(e: Expr, x: Fraction) -> Fraction:
                 if bn < 0:
                     an, bn = -an, -bn
                 nums[-1], dens[-1] = an * bd, ad * bn
-            elif ad == bd:
-                nums[-1] = an + bn if op == _ADD else an - bn
             else:
                 nums[-1] = an * bd + bn * ad if op == _ADD else an * bd - bn * ad
                 dens[-1] = ad * bd

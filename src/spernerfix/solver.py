@@ -10,7 +10,8 @@ being L-Lipschitz on the interval, which the caller declares and the solver
 cannot check; see the counterexample module for what goes wrong when no such
 bound exists.
 
-Two modes:
+Two modes share one round loop, `refine_rounds`; they differ in the grid
+of a round and in the order its vertices are probed:
 
 * ``refine`` (default): repeatedly split the current bracket into
   `branching` equal parts and bisect the part indices, evaluating only the
@@ -27,15 +28,15 @@ Two modes:
   ExactVertex is returned when some *queried* vertex is exactly fixed; at
   branching 2 that is every vertex of the sub-grid, at larger branching
   the unqueried vertices are never evaluated.
-* ``single_grid``: scan one uniform grid fine enough that the spacing is
-  below delta = min(epsilon/L, epsilon * (1 - 1/branching)) from the left,
-  evaluating each vertex once, and stop at the first transition edge.
-  Requires a declared Lipschitz bound. The endpoint residuals come from the
-  same checks as refine mode. ExactVertex is returned when a vertex up to
-  the first transition is exactly fixed; the vertices after it are never
-  evaluated, so a fixed point or a division by zero there goes unseen.
-  A grid of more than SINGLE_GRID_BUDGET edges is refused with ValueError
-  before any vertex past the endpoints is evaluated.
+* ``single_grid``: one round of the same search over one uniform grid fine
+  enough that the spacing is below
+  delta = min(epsilon/L, epsilon * (1 - 1/branching)), probed from the left,
+  so each vertex is evaluated once up to the first transition edge.
+  Requires a declared Lipschitz bound. ExactVertex is returned when a
+  vertex up to the first transition is exactly fixed; the vertices after
+  it are never evaluated, so a fixed point or a division by zero there goes
+  unseen. A grid of more than SINGLE_GRID_BUDGET edges is refused with
+  ValueError before any vertex past the endpoints is evaluated.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ class SolverConfig:
     mode: Mode = "refine"
 
     def __post_init__(self):
+        # type(), not isinstance(): a bool is an int, and is refused too
+        for name, kinds, spelled in (
+            ("epsilon", (int, Fraction), "an int or a Fraction"),
+            ("lipschitz", (int, Fraction, type(None)), "None, an int or a Fraction"),
+            ("branching", (int,), "an int"),
+            ("max_rounds", (int,), "an int"),
+        ):
+            if type(value := getattr(self, name)) not in kinds:
+                raise TypeError(f"{name} must be {spelled}, not {value!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.lipschitz is not None and self.lipschitz <= 0:
@@ -84,6 +94,8 @@ class SolverConfig:
             raise ValueError("max_rounds must be at least 1")
         if self.mode not in get_args(Mode):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "single_grid" and self.lipschitz is None:
+            raise ValueError("single_grid mode requires a declared Lipschitz bound")
 
 
 @dataclass(frozen=True)
@@ -155,41 +167,28 @@ def solve(
     """Locate a fixed point of f on [a, b] with exact evidence.
 
     Returns ExactVertex when some examined grid vertex is exactly fixed,
-    otherwise a CertifiedBracket. Raises NonSelfMapError when the endpoint
-    residuals show f escaping the interval. Refine mode returns the last
-    result of refine_rounds; single_grid mode only takes its round 0, the
-    endpoint checks and residuals, and scans from there.
+    otherwise a CertifiedBracket: the last result of refine_rounds, in
+    either mode. Raises NonSelfMapError when the endpoint residuals show f
+    escaping the interval.
     """
-    rounds = refine_rounds(f, a, b, config)
-    result = next(rounds)
-    if config.mode == "single_grid" and isinstance(result, CertifiedBracket):
-        return _solve_single_grid(as_function(f), result, config)
-    for result in rounds:
+    for result in refine_rounds(f, a, b, config):
         pass
     return result
-
-
-def _uniform_vertices(a: Fraction, width: Fraction) -> Callable[[int, int], Fraction]:
-    """vertex(i, n) is a + i * width / n, vertex i of make_uniform_grid(a, a +
-    width, n), built as one Fraction from integers fixed here."""
-    base = a.numerator * width.denominator
-    scale = width.numerator * a.denominator
-    den = a.denominator * width.denominator
-    return lambda i, n: Fraction(base * n + i * scale, den * n)
 
 
 def refine_rounds(
     f: Function, a: Fraction, b: Fraction, config: SolverConfig
 ) -> Iterator[FixPointResult]:
-    """The refine mode as a stream: one result per round, the last is final.
+    """A solve in either mode as a stream: one result per round, the last is final.
 
     First yields [a, b] itself as the round-0 bracket, then the bracket
-    after each refinement round, with rounds_used set to the round and
-    converged to whether the width target is met. An exactly fixed endpoint
-    or queried vertex is yielded as ExactVertex and ends the stream.
-    config.mode is not consulted. Raises ValueError unless a < b and
-    NonSelfMapError when the endpoint residuals show f escaping [a, b],
-    both on the first next().
+    after each round, with rounds_used set to the round and converged to
+    whether the width target is met; a single_grid solve has one round, so
+    it yields round 0 and its final result. An exactly fixed endpoint or
+    queried vertex is yielded as ExactVertex and ends the stream. Raises
+    ValueError unless a < b or when a single_grid grid exceeds
+    SINGLE_GRID_BUDGET, and NonSelfMapError when the endpoint residuals
+    show f escaping [a, b], all on the first next().
     """
     if not a < b:
         raise ValueError("requires a < b")
@@ -207,33 +206,50 @@ def refine_rounds(
         return
     if g_hi > 0:
         raise NonSelfMapError(f"f({b}) > {b}: map does not self-map the interval")
+    scan = config.mode == "single_grid"
     k = config.branching
+    if scan:
+        # One round of k parts, with spacing below delta and delta capped
+        # strictly below epsilon.
+        cap = config.epsilon * (1 - Fraction(1, k))
+        k = archimedean_n(min(Fraction(config.epsilon, config.lipschitz), cap), a, b)
+        if k > SINGLE_GRID_BUDGET:
+            raise ValueError(
+                f"a single_grid scan of {k} edges exceeds the budget of {SINGLE_GRID_BUDGET} edges"
+            )
     width = b - a
-    vertex = _uniform_vertices(a, width)
-    # After r rounds the bracket is [vertex(index, parts), vertex(index + 1,
-    # parts)] with parts = k**r, and it is converged when width / parts <= t.
+    # Vertex i of make_uniform_grid(a, b, parts) is one Fraction
+    # (base * parts + i * scale) / (den * parts) from integers fixed here.
+    base = a.numerator * width.denominator
+    scale = width.numerator * a.denominator
+    den = a.denominator * width.denominator
+    # After r rounds the bracket is [vertex index, vertex index + 1] of
+    # parts = k**r, and it is converged when width / parts <= t.
     t = config.epsilon
     if config.lipschitz is not None:
         t = Fraction(2 * t, config.lipschitz + 1)
     width_t = width.numerator * t.denominator
     t_width = t.numerator * width.denominator
     lo, hi = a, b
-    index, parts = 0, 1
-    rounds = 0
+    index, parts, rounds = 0, 1, 0
     while True:
         if not g_lo > 0 > g_hi:
             raise CertificateError(f"round {rounds}: residual signs lost at [{lo}, {hi}]")
-        met = width_t <= t_width * parts
+        # single_grid ends after its one round, which meets the width test:
+        # its spacing is below delta <= 2 * epsilon / (L+1) = t (epsilon/L <= t
+        # when L >= 1; epsilon * (1 - 1/branching) < epsilon < t when L < 1).
+        met = rounds > 0 if scan else width_t <= t_width * parts
         yield CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=met)
         if met or rounds == config.max_rounds:
             return
-        # Bisect the vertex indices 0..k of make_uniform_grid(lo, hi, k),
-        # keeping label 0 (g > 0) at left and label 1 (g < 0) at right.
+        # Search the vertex indices 0..k of make_uniform_grid(lo, hi, k),
+        # keeping label 0 (g > 0) at left and label 1 (g < 0) at right; refine
+        # bisects, single_grid probes from the left up to the first g <= 0.
         index, parts = index * k, parts * k
         left, right = 0, k
         while right - left > 1:
-            m = (left + right) // 2
-            x = vertex(index + m, parts)
+            m = left + 1 if scan else (left + right) // 2
+            x = Fraction(base * parts + (index + m) * scale, den * parts)
             g = fn(x) - x
             if g == 0:
                 yield ExactVertex(x)
@@ -244,34 +260,3 @@ def refine_rounds(
                 right, hi, g_hi = m, x, g
         index += left
         rounds += 1
-
-
-def _solve_single_grid(
-    fn: Callable[[Fraction], Fraction],
-    start: CertifiedBracket,
-    config: SolverConfig,
-) -> FixPointResult:
-    if config.lipschitz is None:
-        raise ValueError("single_grid mode requires a declared Lipschitz bound")
-    # Grid spacing below delta, with delta capped strictly below epsilon.
-    cap = config.epsilon * (1 - Fraction(1, config.branching))
-    delta = min(config.epsilon / config.lipschitz, cap)
-    a, b = start.lo, start.hi
-    n = archimedean_n(delta, a, b)
-    if n > SINGLE_GRID_BUDGET:
-        raise ValueError(
-            f"a single_grid scan of {n} edges exceeds the budget of {SINGLE_GRID_BUDGET} edges"
-        )
-    vertex = _uniform_vertices(a, b - a)
-    # Scan the vertices of make_uniform_grid(a, b, n) up to the first with
-    # g <= 0; the last vertex is b, whose residual g_hi < 0 is already known.
-    lo, g_lo = a, start.g_lo
-    for i in range(1, n):
-        x = vertex(i, n)
-        g = fn(x) - x
-        if g == 0:
-            return ExactVertex(x)
-        if g < 0:
-            return CertifiedBracket(lo, x, g_lo, g, rounds_used=1, converged=True)
-        lo, g_lo = x, g
-    return CertifiedBracket(lo, b, g_lo, start.g_hi, rounds_used=1, converged=True)

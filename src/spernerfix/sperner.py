@@ -67,10 +67,6 @@ class Labeling:
                 "boundary condition violated: labels must start with 0 and end with 1"
             )
 
-    @property
-    def n(self) -> int:
-        return len(self.labels) - 1
-
 
 @dataclass(frozen=True)
 class ExactVertex:

@@ -137,3 +137,37 @@ def test_node_classes_have_no_generated_methods(node):
     # ==, hash and repr recurse over the tree, _Node's share one iterative walk.
     for name in ("__eq__", "__hash__", "__repr__"):
         assert getattr(node, name) is getattr(_Node, name), name
+
+
+def functions_calling_f_in_a_loop(path):
+    """Names of the functions in path that call f inside a for or while loop.
+    A call of f is a call of residual, of as_function(...), of a name bound
+    to as_function(...), or of a parameter annotated Function or Callable."""
+    def is_as_function_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_function"
+
+    found = []
+    for fn in source_nodes(path):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = {"residual"}
+        for arg in fn.args.args:
+            annotation = getattr(arg.annotation, "value", arg.annotation)
+            if getattr(annotation, "id", None) in ("Function", "Callable"):
+                names.add(arg.arg)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and is_as_function_call(node.value):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        loops = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))]
+        calls = [node for loop in loops for node in ast.walk(loop) if isinstance(node, ast.Call)]
+        if any(getattr(c.func, "id", None) in names or is_as_function_call(c.func) for c in calls):
+            found.append(fn.name)
+    return sorted(found)
+
+
+def test_only_refine_rounds_searches_with_f():
+    # Both modes are one loop: single_grid is a round of refine_rounds probed
+    # from the left, so no second search in the solver evaluates f.
+    assert functions_calling_f_in_a_loop(ROOT / "src" / "spernerfix" / "solver.py") == [
+        "refine_rounds"
+    ]

@@ -240,6 +240,12 @@ class TestSolve:
         assert code == 1
         assert "Lipschitz" in stderr
 
+    def test_single_grid_without_lipschitz_is_refused_before_solving(self):
+        # x + 1 escapes [0, 1], but the config is refused before f is evaluated
+        code, stdout, stderr = run_cli(["solve", "x + 1", "0", "1", "--mode", "single_grid"])
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: single_grid mode requires a declared Lipschitz bound\n"
+
     def test_exact_csv(self):
         code, stdout, _ = run_cli(["solve", "1 - x", "0", "1", "--format", "csv"])
         assert code == 0

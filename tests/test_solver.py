@@ -89,6 +89,39 @@ class TestConfigAndBracketInvariants:
         with pytest.raises(ValueError):
             SolverConfig(mode="newton")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("epsilon", 0.001),
+            ("epsilon", True),
+            ("lipschitz", 0.5),
+            ("lipschitz", True),
+            ("branching", 2.5),
+            ("branching", True),
+            ("branching", Fraction(2)),
+            ("max_rounds", 2.5),
+            ("max_rounds", True),
+        ],
+    )
+    def test_config_field_types(self, field, value):
+        # a float epsilon or lipschitz failed mid-solve, and max_rounds=2.5
+        # never ended a solve
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            SolverConfig(**{field: value})
+
+    def test_config_accepts_int_rationals(self):
+        config = SolverConfig(epsilon=1, lipschitz=3, mode="single_grid")
+        as_fractions = SolverConfig(
+            epsilon=Fraction(1), lipschitz=Fraction(3), mode="single_grid"
+        )
+        # delta = 1/3 exactly, not the float 1/3: the grid is i/4
+        f = parse("(1 - x)/2")
+        result = solve(f, Fraction(0), Fraction(1), config)
+        assert result == CertifiedBracket(
+            Fraction(1, 4), Fraction(1, 2), Fraction(1, 8), Fraction(-1, 4), rounds_used=1
+        )
+        assert result == solve(f, Fraction(0), Fraction(1), as_fractions)
+
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             CertifiedBracket(Fraction(1), Fraction(0), Fraction(1), Fraction(-1), 0)
@@ -201,6 +234,19 @@ class TestSolveRefine:
             assert cur.width == prev.width / 3
             assert cur.converged == (cur is stream[-1])
         assert stream[-1] == solve(f, Fraction(0), Fraction(1), config)
+        # single_grid is one round of the same stream (refine yields 11 items here)
+        config = SolverConfig(
+            epsilon=Fraction(1, 1000), lipschitz=Fraction(1, 2), mode="single_grid"
+        )
+        stream = list(refine_rounds(f, Fraction(0), Fraction(1), config))
+        assert stream == [
+            CertifiedBracket(
+                Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 4),
+                rounds_used=0, converged=False,
+            ),
+            solve(f, Fraction(0), Fraction(1), config),
+        ]
+        assert stream[-1].rounds_used == 1 and stream[-1].converged
 
     def test_conditional_residual_claim(self):
         for f, a, b, lips, _ in LIPSCHITZ_CORPUS:
@@ -327,6 +373,39 @@ class TestSolveSingleGrid:
         assert SINGLE_GRID_BUDGET == 10**6
         with pytest.raises(ValueError, match="2000000000001 edges exceeds the budget"):
             solve(endpoints_only, Fraction(0), Fraction(1), config)
+
+
+class TestSingleGridRound:
+    """single_grid as one round of refine_rounds over its grid, probed from
+    the left."""
+
+    def test_requires_lipschitz_before_any_evaluation(self):
+        def never(x):
+            raise RuntimeError(f"evaluated f at {x}")
+
+        with pytest.raises(ValueError, match="single_grid mode requires a declared Lipschitz"):
+            solve(never, Fraction(0), Fraction(1), SolverConfig(mode="single_grid"))
+
+    def test_one_edge_grid(self):
+        # epsilon 4 and L = 1 give delta = 2 and n = 1: no interior vertex
+        config = SolverConfig(epsilon=Fraction(4), lipschitz=Fraction(1), mode="single_grid")
+        f = Counted(parse("1 - x"))
+        assert solve(f, Fraction(0), Fraction(1), config) == CertifiedBracket(
+            Fraction(0), Fraction(1), Fraction(1), Fraction(-1), rounds_used=1, converged=True
+        )
+        assert f.points == [0, 1]
+
+    def test_scans_where_refine_is_met_at_round_0(self):
+        # epsilon 1 and L = 1: [0, 1] already meets refine's width target, but
+        # single_grid still scans its grid i/3 (delta = 1/2)
+        f, a, b = parse("1 - x"), Fraction(0), Fraction(1)
+        config = SolverConfig(epsilon=Fraction(1), lipschitz=Fraction(1), mode="single_grid")
+        result = solve(f, a, b, config)
+        assert (result.lo, result.hi, result.rounds_used, result.converged) == (
+            Fraction(1, 3), Fraction(2, 3), 1, True
+        )
+        refined = solve(f, a, b, SolverConfig(epsilon=Fraction(1), lipschitz=Fraction(1)))
+        assert (refined.lo, refined.hi, refined.rounds_used) == (a, b, 0)
 
 
 class TestResidualBound:

@@ -10,7 +10,7 @@ being L-Lipschitz on the interval, which the caller declares and the solver
 cannot check; see the counterexample module for what goes wrong when no such
 bound exists.
 
-Two modes share one round loop, `refine_rounds`; they differ in the grid
+Two modes share one round loop, `_rounds`; they differ in the grid
 of a round and in the order its vertices are probed:
 
 * ``refine`` (default): repeatedly split the current bracket into
@@ -18,9 +18,9 @@ of a round and in the order its vertices are probed:
   vertices the bisection queries, down to a 0-to-1 edge. Stops when
   (L+1) * width / 2 <= epsilon (with a declared Lipschitz bound L), when
   width <= epsilon (without one), or at max_rounds, in which case the best
-  bracket so far is returned marked unconverged. The residuals of the
-  bracket ends are carried from round to round, so a round costs
-  ceil(log2(branching)) evaluations and no point is evaluated twice.
+  bracket so far is returned marked unconverged. Signs are decided on integer
+  cross-products of f(x) and x, residuals are built only for a bracket the
+  caller receives, and a round costs ceil(log2(branching)) new evaluations.
   The bracket is kept in integers: after r rounds it is
   [a + i*w/K, a + (i+1)*w/K] with w = b - a and K = branching**r, so each
   queried vertex is one Fraction built from integers fixed at round 0, and
@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Literal, Union, get_args
 
 from .expr import Expr, as_function
-from .rationals import CertificateError
+from .rationals import CertificateError  # noqa: F401  (imported from here by counterexample)
 from .sperner import ExactVertex, NonSelfMapError
 
 Mode = Literal["refine", "single_grid"]
@@ -167,13 +167,12 @@ def solve(
     """Locate a fixed point of f on [a, b] with exact evidence.
 
     Returns ExactVertex when some examined grid vertex is exactly fixed,
-    otherwise a CertifiedBracket: the last result of refine_rounds, in
-    either mode. Raises NonSelfMapError when the endpoint residuals show f
-    escaping the interval.
+    otherwise a CertifiedBracket: the last result of refine_rounds and the
+    only bracket the solve builds. Raises as refine_rounds does.
     """
-    for result in refine_rounds(f, a, b, config):
+    for item in _rounds(f, a, b, config):
         pass
-    return result
+    return _result(item)
 
 
 def refine_rounds(
@@ -186,25 +185,53 @@ def refine_rounds(
     whether the width target is met; a single_grid solve has one round, so
     it yields round 0 and its final result. An exactly fixed endpoint or
     queried vertex is yielded as ExactVertex and ends the stream. Raises
-    ValueError unless a < b or when a single_grid grid exceeds
-    SINGLE_GRID_BUDGET, and NonSelfMapError when the endpoint residuals
-    show f escaping [a, b], all on the first next().
+    TypeError when a value of f is not an int or a Fraction; on the first
+    next(), also when a or b is not one (before f is evaluated), ValueError
+    unless a < b or when a single_grid grid exceeds SINGLE_GRID_BUDGET, and
+    NonSelfMapError when the endpoint residuals show f escaping [a, b].
     """
+    result = None
+    for item in _rounds(f, a, b, config):
+        yield (result := _result(item, result))
+
+
+def _result(item, last: CertifiedBracket | None = None) -> FixPointResult:
+    """The result an item of _rounds stands for, reusing last's residuals at kept ends."""
+    if isinstance(item, ExactVertex):
+        return item
+    lo, hi, f_lo, f_hi, rounds, converged = item
+    g_lo = last.g_lo if last is not None and last.lo is lo else f_lo - lo
+    g_hi = last.g_hi if last is not None and last.hi is hi else f_hi - hi
+    return CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=converged)
+
+
+def _sign(x, y) -> int:
+    """The sign of y - x as an integer; y = f(x) must be an int or a Fraction."""
+    if not isinstance(y, (int, Fraction)):
+        raise TypeError(f"f({x}) must be an int or a Fraction, not {y!r}")
+    return y.numerator * x.denominator - x.numerator * y.denominator
+
+
+def _rounds(f: Function, a: Fraction, b: Fraction, config: SolverConfig):
+    """The one probe loop: refine_rounds with each bracket a tuple (lo, hi,
+    f(lo), f(hi), round, converged), in which a kept end is the same object."""
+    if type(a) not in (int, Fraction) or type(b) not in (int, Fraction):  # as in SolverConfig
+        raise TypeError(f"a and b must be ints or Fractions, not {a!r} and {b!r}")
     if not a < b:
         raise ValueError("requires a < b")
     fn = as_function(f)
-    g_lo = fn(a) - a
-    g_hi = fn(b) - b
+    f_lo, f_hi = fn(a), fn(b)
+    s_lo, s_hi = _sign(a, f_lo), _sign(b, f_hi)
     # Endpoints in scan order, matching label_by_sign on the same grid.
-    if g_lo == 0:
+    if s_lo == 0:
         yield ExactVertex(a)
         return
-    if g_lo < 0:
+    if s_lo < 0:
         raise NonSelfMapError(f"f({a}) < {a}: map does not self-map the interval")
-    if g_hi == 0:
+    if s_hi == 0:
         yield ExactVertex(b)
         return
-    if g_hi > 0:
+    if s_hi > 0:
         raise NonSelfMapError(f"f({b}) > {b}: map does not self-map the interval")
     scan = config.mode == "single_grid"
     k = config.branching
@@ -233,13 +260,11 @@ def refine_rounds(
     lo, hi = a, b
     index, parts, rounds = 0, 1, 0
     while True:
-        if not g_lo > 0 > g_hi:
-            raise CertificateError(f"round {rounds}: residual signs lost at [{lo}, {hi}]")
         # single_grid ends after its one round, which meets the width test:
         # its spacing is below delta <= 2 * epsilon / (L+1) = t (epsilon/L <= t
         # when L >= 1; epsilon * (1 - 1/branching) < epsilon < t when L < 1).
         met = rounds > 0 if scan else width_t <= t_width * parts
-        yield CertifiedBracket(lo, hi, g_lo, g_hi, rounds_used=rounds, converged=met)
+        yield lo, hi, f_lo, f_hi, rounds, met
         if met or rounds == config.max_rounds:
             return
         # Search the vertex indices 0..k of make_uniform_grid(lo, hi, k),
@@ -250,13 +275,13 @@ def refine_rounds(
         while right - left > 1:
             m = left + 1 if scan else (left + right) // 2
             x = Fraction(base * parts + (index + m) * scale, den * parts)
-            g = fn(x) - x
-            if g == 0:
+            s = _sign(x, y := fn(x))
+            if s == 0:
                 yield ExactVertex(x)
                 return
-            if g > 0:
-                left, lo, g_lo = m, x, g
+            if s > 0:
+                left, lo, f_lo = m, x, y
             else:
-                right, hi, g_hi = m, x, g
+                right, hi, f_hi = m, x, y
         index += left
         rounds += 1

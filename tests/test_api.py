@@ -165,9 +165,21 @@ def functions_calling_f_in_a_loop(path):
     return sorted(found)
 
 
-def test_only_refine_rounds_searches_with_f():
-    # Both modes are one loop: single_grid is a round of refine_rounds probed
-    # from the left, so no second search in the solver evaluates f.
+def test_only_the_private_round_loop_searches_with_f():
+    # Both modes are one loop: single_grid is a round of _rounds probed from
+    # the left, and solve and refine_rounds drain _rounds, so no second search
+    # in the solver evaluates f.
     assert functions_calling_f_in_a_loop(ROOT / "src" / "spernerfix" / "solver.py") == [
-        "refine_rounds"
+        "_rounds"
     ]
+
+
+def test_one_site_builds_a_certified_bracket():
+    # Brackets are built from the round loop's tuples in one place, so a
+    # solve builds only the bracket it returns.
+    calls = [
+        node
+        for node in source_nodes(ROOT / "src" / "spernerfix" / "solver.py")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CertifiedBracket"
+    ]
+    assert len(calls) == 1

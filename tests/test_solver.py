@@ -712,3 +712,140 @@ class TestRefineStreamAgainstFractionSteps:
                 assert error is None
                 assert [item.converged for item in items] == [False] * 4 + [True]
                 assert items[-1].width == target
+
+
+def never_called(x):
+    raise AssertionError(f"f was evaluated at {x}")
+
+
+def turns_float_inside(x):
+    """(1 - x)/3 as a Fraction at 0 and 1, and as a float at every other x."""
+    y = (1 - x) / 3
+    return y if x in (0, 1) else float(y)
+
+
+class TestRationalValuesOnly:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, 1.0), (Fraction(0), 1.0), (0.0, Fraction(1)), (False, True), ("0", "1")],
+        ids=repr,
+    )
+    def test_endpoints_refused_before_any_evaluation(self, a, b):
+        with pytest.raises(TypeError, match="a and b must be ints or Fractions"):
+            solve(never_called, a, b)
+        with pytest.raises(TypeError, match="a and b must be ints or Fractions"):
+            next(refine_rounds(never_called, a, b, SolverConfig()))
+
+    def test_float_endpoints_of_an_expression(self):
+        with pytest.raises(TypeError, match=r"not 0\.0 and 1\.0"):
+            solve(parse("(1-x)/3"), 0.0, 1.0)
+
+    def test_int_endpoints_and_values_are_rational(self):
+        f = parse("(1-x)/3")
+        assert solve(f, 0, 1) == solve(f, Fraction(0), Fraction(1))
+        assert solve(lambda x: 1, Fraction(0), Fraction(2)) == ExactVertex(Fraction(1))
+        bracket = solve(lambda x: 1, Fraction(0), Fraction(3))
+        assert isinstance(bracket, CertifiedBracket)
+        assert bracket.g_lo == 1 - bracket.lo and bracket.g_hi == 1 - bracket.hi
+
+    def test_float_value_at_an_endpoint(self):
+        with pytest.raises(TypeError, match=r"f\(0\) must be an int or a Fraction, not 0\.333"):
+            solve(lambda x: float(x * x + 1) / 3, Fraction(0), Fraction(1))
+        with pytest.raises(TypeError, match=r"f\(1\) must be an int or a Fraction, not 0\.0"):
+            solve(lambda x: (1 - x) / 3 if x == 0 else float(x - x), Fraction(0), Fraction(1))
+
+    def test_float_value_at_an_interior_probe(self):
+        message = r"f\(1/2\) must be an int or a Fraction, not 0\.1666"
+        with pytest.raises(TypeError, match=message):
+            solve(turns_float_inside, Fraction(0), Fraction(1))
+        stream = refine_rounds(turns_float_inside, Fraction(0), Fraction(1), SolverConfig())
+        assert next(stream) == CertifiedBracket(
+            Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-1), rounds_used=0, converged=False
+        )
+        with pytest.raises(TypeError, match=message):
+            next(stream)
+
+    def test_float_value_in_single_grid(self):
+        config = SolverConfig(epsilon=Fraction(1, 10), lipschitz=Fraction(1, 3), mode="single_grid")
+        with pytest.raises(TypeError, match=r"f\(1/21\) must be an int or a Fraction"):
+            solve(turns_float_inside, Fraction(0), Fraction(1), config)
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the subtractions it starts."""
+
+    subtractions = 0
+
+    def __sub__(self, other):
+        CountingFraction.subtractions += 1
+        return super().__sub__(other)
+
+
+def counting(expr):
+    """expr as a callable whose values count the subtractions they start."""
+    return lambda x: CountingFraction(evaluate(expr, x))
+
+
+class TestCostModel:
+    """Signs are decided without residuals; a bracket is built, and its
+    residuals subtracted, only when the caller receives it."""
+
+    def cases(self):
+        for k in (2, 3, 16):
+            for f, a, b, lips, _ in LIPSCHITZ_CORPUS:
+                yield f, a, b, SolverConfig(epsilon=Fraction(1, 2**24), lipschitz=lips, branching=k)
+            for f in seeded_self_maps(k, 25):
+                yield f, Fraction(0), Fraction(1), SolverConfig(epsilon=Fraction(1, 2**24), branching=k)
+
+    def test_solve_builds_one_bracket(self, monkeypatch):
+        class Counting(CertifiedBracket):
+            built = 0
+
+            def __post_init__(self):
+                Counting.built += 1
+                super().__post_init__()
+
+        monkeypatch.setattr(solver_module, "CertifiedBracket", Counting)
+        brackets = 0
+        for f, a, b, config in self.cases():
+            Counting.built = 0
+            result = outcome(lambda: solve(f, a, b, config))
+            if isinstance(result, CertifiedBracket):
+                brackets += 1
+                assert result.rounds_used > 0
+                assert Counting.built == 1
+            else:
+                assert Counting.built == 0
+        assert brackets > 50
+
+    def test_subtractions_only_for_new_ends(self):
+        streams = 0
+        for f, a, b, config in self.cases():
+            counted = counting(f)
+            CountingFraction.subtractions = 0
+            result = outcome(lambda: solve(counted, a, b, config))
+            if not isinstance(result, CertifiedBracket):
+                continue
+            assert CountingFraction.subtractions == 2
+            CountingFraction.subtractions = 0
+            items = list(refine_rounds(counted, a, b, config))
+            new_ends = sum(
+                (now.lo != before.lo) + (now.hi != before.hi)
+                for before, now in zip(items, items[1:])
+            )
+            assert CountingFraction.subtractions == 2 + new_ends
+            if config.branching == 2:
+                assert new_ends == items[-1].rounds_used
+            streams += 1
+        assert streams > 50
+
+    def test_every_yielded_residual_recomputed(self):
+        brackets = 0
+        for f, a, b, config in self.cases():
+            items, _ = drain(refine_rounds(f, a, b, config))
+            for item in items:
+                if isinstance(item, CertifiedBracket):
+                    assert item.g_lo == residual(f, item.lo) > 0
+                    assert item.g_hi == residual(f, item.hi) < 0
+                    brackets += 1
+        assert brackets > 500

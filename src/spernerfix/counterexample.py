@@ -26,14 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Const, Expr, IfNeg, Mul, Sub, Var
-from .rationals import is_below_sqrt2
-from .solver import (
-    CertificateError,
-    CertifiedBracket,
-    SolverConfig,
-    refine_rounds,
-    residual,
-)
+from .rationals import CertificateError, is_below_sqrt2
+from .solver import CertifiedBracket, SolverConfig, refine_rounds, residual
+
+__all__ = [
+    "RESIDUAL_FLOOR", "CounterexampleReport", "assert_no_fixed_point", "counterexample_expr",
+    "run_demo",
+]
 
 # Exact lower bound for every midpoint residual; 2/5 < sqrt(2) - 1.
 RESIDUAL_FLOOR = Fraction(2, 5)

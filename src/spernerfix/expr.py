@@ -39,6 +39,11 @@ from typing import Callable, Union
 
 from .rationals import _LITERAL_RE, ParseError, _literal_value
 
+__all__ = [
+    "Add", "Const", "Div", "Expr", "IfNeg", "Mul", "Sub", "Var", "as_function", "evaluate",
+    "parse", "to_text",
+]
+
 
 class _Node:
     """Base of the expression nodes; == and hash compare the compiled code, unique to each tree."""

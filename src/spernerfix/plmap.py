@@ -27,6 +27,11 @@ from fractions import Fraction
 from .rationals import CertificateError
 from .sperner import Grid, Labeling
 
+__all__ = [
+    "FixedPointWitness", "PLMap", "pl_evaluate", "pl_fixed_points", "pl_from_labeling",
+    "pl_trace", "theorem_roundtrip",
+]
+
 # The most rows pl_trace returns; a larger trace is refused with ValueError.
 TRACE_ROW_BUDGET = 10**6
 
@@ -67,15 +72,18 @@ def pl_evaluate(plmap: PLMap, x: Fraction) -> Fraction:
     x is written as the convex combination lam * v[k-1] + (1 - lam) * v[k]
     of the endpoints of its edge and the same combination of the endpoint
     images is returned. Vertex hits use the smallest containing edge; both
-    candidate edges agree there.
+    candidate edges agree there. Raises TypeError unless x is an int or a
+    Fraction.
     """
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"x must be an int or a Fraction, not {x!r}")
     vertices = plmap.grid.vertices
     if not vertices[0] <= x <= vertices[-1]:
         raise ValueError(f"{x} outside the domain [{vertices[0]}, {vertices[-1]}]")
     k = max(bisect_left(vertices, x), 1)
     v_left, v_right = vertices[k - 1], vertices[k]
     targets = plmap.target_index
-    lam = (v_right - x) / (v_right - v_left)
+    lam = Fraction(v_right - x, v_right - v_left)
     return lam * vertices[targets[k - 1]] + (1 - lam) * vertices[targets[k]]
 
 
@@ -100,7 +108,7 @@ def pl_fixed_points(plmap: PLMap) -> list[Fraction]:
             x_left, x_right = vertices[k - 1], vertices[k]
             r_left = vertices[targets[k - 1]] - x_left
             r_right = vertices[t] - x_right
-            points.append(x_left + r_left * (x_right - x_left) / (r_left - r_right))
+            points.append(x_left + Fraction(r_left * (x_right - x_left), r_left - r_right))
         left_above = right_above
     return points
 

@@ -16,6 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
+__all__ = ["CertificateError", "ParseError", "decimal_string", "is_below_sqrt2", "parse_rational"]
+
 # Literal grammar, also of constants in expressions: optional sign and decimal
 # integer (group 1), optional "/" and positive decimal integer denominator
 # (group 2). ASCII digits only; no whitespace anywhere inside the literal.

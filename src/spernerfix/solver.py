@@ -46,8 +46,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Literal, Union, get_args
 
 from .expr import Expr, as_function
-from .rationals import CertificateError  # noqa: F401  (imported from here by counterexample)
 from .sperner import ExactVertex, NonSelfMapError
+
+__all__ = [
+    "CertifiedBracket", "FixPointResult", "SolverConfig", "archimedean_n", "refine_rounds",
+    "residual", "residual_bound", "solve",
+]
 
 Mode = Literal["refine", "single_grid"]
 
@@ -128,7 +132,7 @@ class CertifiedBracket:
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo + self.hi, 2)
 
 
 FixPointResult = Union[ExactVertex, CertifiedBracket]
@@ -140,7 +144,13 @@ def residual(f: Function, x: Fraction) -> Fraction:
 
 
 def archimedean_n(delta: Fraction, a: Fraction, b: Fraction) -> int:
-    """Smallest positive integer n with (b - a) < n * delta, exactly."""
+    """Smallest positive integer n with (b - a) < n * delta, exactly.
+
+    Raises TypeError unless delta, a and b are ints or Fractions.
+    """
+    for name, value in (("delta", delta), ("a", a), ("b", b)):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{name} must be an int or a Fraction, not {value!r}")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if not a < b:
@@ -154,11 +164,14 @@ def residual_bound(bracket: CertifiedBracket, lipschitz: Fraction) -> Fraction:
     g inherits Lipschitz constant L+1 from f, so |g(midpoint)| is at most
     this value provided f genuinely satisfies the declared bound over the
     real interval. A false declaration voids the claim (the sign evidence
-    in the bracket itself remains exact either way).
+    in the bracket itself remains exact either way). Raises TypeError unless
+    lipschitz is an int or a Fraction.
     """
+    if not isinstance(lipschitz, (int, Fraction)):
+        raise TypeError(f"lipschitz must be an int or a Fraction, not {lipschitz!r}")
     if lipschitz <= 0:
         raise ValueError("lipschitz bound must be positive")
-    return (lipschitz + 1) * bracket.width / 2
+    return Fraction((lipschitz + 1) * bracket.width, 2)
 
 
 def solve(

@@ -42,6 +42,51 @@ def test_all_lists_exactly_the_public_names():
     assert set(spernerfix.__all__) == public
 
 
+def reexported_modules():
+    """The modules __init__.py star-imports, in import order."""
+    tree = ast.parse((ROOT / "src" / "spernerfix" / "__init__.py").read_text())
+    return [
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+
+
+def defined_names(path):
+    """Names bound at the top level of path by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_package_reexports_every_library_module():
+    assert set(reexported_modules()) == {p.stem for p in SOURCES} - {"__init__", "cli"}
+
+
+@pytest.mark.parametrize("module_name", reexported_modules())
+def test_module_all_lists_only_its_own_definitions(module_name):
+    module = importlib.import_module(f"spernerfix.{module_name}")
+    path = ROOT / "src" / "spernerfix" / f"{module_name}.py"
+    assert module.__all__ and set(module.__all__) <= defined_names(path) - {"__all__"}
+
+
+def test_package_all_concatenates_the_module_lists_in_import_order():
+    modules = [importlib.import_module(f"spernerfix.{m}") for m in reexported_modules()]
+    assert spernerfix.__all__ == [name for module in modules for name in module.__all__]
+
+
+def test_star_import_binds_exactly_the_package_all():
+    namespace = {}
+    exec("from spernerfix import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(spernerfix.__all__)
+
+
 @pytest.mark.parametrize("name", sorted(TRACER.FUNCTIONS))
 def test_traced_function_resolves(name):
     module_name, attr = TRACER.FUNCTIONS[name]

@@ -14,9 +14,8 @@ from spernerfix.counterexample import (
     run_demo,
 )
 from spernerfix.expr import evaluate, parse
-from spernerfix.rationals import is_below_sqrt2
+from spernerfix.rationals import CertificateError, is_below_sqrt2
 from spernerfix.solver import (
-    CertificateError,
     CertifiedBracket,
     SolverConfig,
     refine_rounds,

@@ -54,7 +54,7 @@ def seeded_plmaps(seed, count):
         if i % 2:
             yield PLMap(grid, tuple(rng.randrange(len(grid.vertices)) for _ in grid.vertices))
         else:
-            labeling = Labeling((0, *(rng.randint(0, 1) for _ in range(grid.n - 1)), 1))
+            labeling = Labeling((0, *(rng.randint(0, 1) for _ in range(len(grid.vertices) - 2)), 1))
             yield pl_from_labeling(grid, labeling)
 
 
@@ -184,12 +184,23 @@ class TestPLEvaluate:
         with pytest.raises(ValueError):
             pl_evaluate(plmap, Fraction(5, 2))
 
+    def test_refuses_a_float(self):
+        plmap = pl_from_labeling(Grid((0, 1)), Labeling((0, 1)))
+        with pytest.raises(TypeError) as exc:
+            pl_evaluate(plmap, 0.25)
+        assert str(exc.value) == "x must be an int or a Fraction, not 0.25"
+
+    def test_int_grid_and_point_give_a_fraction(self):
+        plmap = pl_from_labeling(Grid((0, 1, 2)), Labeling((0, 0, 1)))
+        value = pl_evaluate(plmap, 0)
+        assert type(value) is Fraction and value == 1
+
     def test_range_stays_in_domain(self):
         rng = random.Random(3)
         for _ in range(50):
             grid = random_grid(rng, rng.randint(1, 8))
             labeling = Labeling(
-                (0, *(rng.randint(0, 1) for _ in range(grid.n - 1)), 1)
+                (0, *(rng.randint(0, 1) for _ in range(len(grid.vertices) - 2)), 1)
             )
             plmap = pl_from_labeling(grid, labeling)
             lo, hi = grid.vertices[0], grid.vertices[-1]
@@ -238,7 +249,7 @@ class TestPLFixedPoints:
         for _ in range(50):
             grid = random_grid(rng, rng.randint(1, 8))
             labeling = Labeling(
-                (0, *(rng.randint(0, 1) for _ in range(grid.n - 1)), 1)
+                (0, *(rng.randint(0, 1) for _ in range(len(grid.vertices) - 2)), 1)
             )
             plmap = pl_from_labeling(grid, labeling)
             points = pl_fixed_points(plmap)
@@ -319,6 +330,10 @@ class TestTheoremRoundtrip:
         assert witnesses == [
             FixedPointWitness(Fraction(3, 2), 2, (0, 1))
         ]
+
+    def test_int_grid_gives_a_fraction_witness(self):
+        (witness,) = theorem_roundtrip(Grid((0, 1, 2)), Labeling((0, 0, 1)))
+        assert type(witness.fixed_point) is Fraction and witness.fixed_point == Fraction(3, 2)
 
     def test_exhaustive_uniform(self):
         for n in range(1, 9):

@@ -75,6 +75,18 @@ class TestArchimedean:
         with pytest.raises(ValueError):
             archimedean_n(Fraction(1), Fraction(1), Fraction(1))
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((0.1, 0, 1), "delta"), ((Fraction(1, 10), 0.0, 1), "a"), ((Fraction(1, 10), 0, 1.0), "b")],
+    )
+    def test_refuses_inexact_arguments(self, args, name):
+        with pytest.raises(TypeError) as exc:
+            archimedean_n(*args)
+        assert str(exc.value).startswith(f"{name} must be an int or a Fraction, not ")
+
+    def test_int_endpoints(self):
+        assert archimedean_n(Fraction(1, 10), 0, 1) == 11
+
 
 class TestConfigAndBracketInvariants:
     def test_config_validation(self):
@@ -136,6 +148,14 @@ class TestConfigAndBracketInvariants:
         )
         assert bracket.width == Fraction(1, 2)
         assert bracket.midpoint == Fraction(1, 4)
+
+    def test_int_bracket_midpoint_and_bound_are_fractions(self):
+        # the round-0 bracket of int endpoints has int ends and width
+        bracket = next(refine_rounds(parse("1 - x/3"), 0, 1, SolverConfig()))
+        assert (bracket.lo, bracket.hi) == (0, 1)
+        midpoint, bound = bracket.midpoint, residual_bound(bracket, 2)
+        assert type(midpoint) is Fraction and midpoint == Fraction(1, 2)
+        assert type(bound) is Fraction and bound == Fraction(3, 2)
 
 
 class TestSolveRefine:
@@ -419,6 +439,13 @@ class TestResidualBound:
         b = CertifiedBracket(Fraction(0), Fraction(1), Fraction(1), Fraction(-1), 1)
         with pytest.raises(ValueError):
             residual_bound(b, Fraction(0))
+
+    def test_refuses_a_float_lipschitz(self):
+        # the bound was the float 0.75; it is exact or refused
+        b = CertifiedBracket(Fraction(0), Fraction(1), Fraction(1), Fraction(-1), 1)
+        with pytest.raises(TypeError) as exc:
+            residual_bound(b, 0.5)
+        assert str(exc.value) == "lipschitz must be an int or a Fraction, not 0.5"
 
 
 class Counted:

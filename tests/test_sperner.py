@@ -86,6 +86,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((Fraction(0),))
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ((0, 0.1, 0.3), "grid vertex 1 must be an int or a Fraction, not 0.1"),
+            ((0.5, 1), "grid vertex 0 must be an int or a Fraction, not 0.5"),
+            ((Fraction(0), "1"), "grid vertex 1 must be an int or a Fraction, not '1'"),
+        ],
+    )
+    def test_refuses_inexact_vertices(self, vertices, message):
+        with pytest.raises(TypeError) as exc:
+            Grid(vertices)
+        assert str(exc.value) == message
+
 
 class TestLabeling:
     def test_boundary_enforced(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Const, Expr, IfNeg, Mul, Sub, Var
-from .rationals import CertificateError, is_below_sqrt2
+from .rationals import CertificateError, _count, _exact, is_below_sqrt2
 from .solver import CertifiedBracket, SolverConfig, refine_rounds, residual
 
 __all__ = [
@@ -53,7 +53,7 @@ def assert_no_fixed_point(x: Fraction) -> bool:
     so no input is fixed. Returns the (always true) verdict; raises
     ValueError outside the domain.
     """
-    if not _ONE <= x <= _TWO:
+    if not _ONE <= _exact(x, "x") <= _TWO:
         raise ValueError(f"{x} outside the domain [1, 2]")
     return residual(counterexample_expr(), x) != 0
 
@@ -83,7 +83,7 @@ def run_demo(depth: int) -> list[CounterexampleReport]:
     evaluations of f. Any failure raises CertificateError: it would be an
     implementation bug.
     """
-    if depth < 1:
+    if _count(depth, "depth") < 1:
         raise ValueError("depth must be at least 1")
     f = counterexample_expr()
     config = SolverConfig(

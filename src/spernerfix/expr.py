@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Union
 
-from .rationals import _LITERAL_RE, ParseError, _literal_value
+from .rationals import _LITERAL_RE, ParseError, _exact, _literal_value
 
 __all__ = [
     "Add", "Const", "Div", "Expr", "IfNeg", "Mul", "Sub", "Var", "as_function", "evaluate",
@@ -160,9 +160,7 @@ def _compile(root: Expr) -> tuple:
     for node, i in _walk(root):
         kind = type(node)
         if kind is Const:
-            value = node.value
-            if not isinstance(value, (int, Fraction)):
-                raise TypeError(f"not a rational constant: {value!r}")
+            value = _exact(node.value, "constant")
             code.append((_CONST, value.numerator, value.denominator))
         elif kind is Var:
             code.append((_VAR, 0, 0))
@@ -191,11 +189,12 @@ def evaluate(e: Expr, x: Fraction) -> Fraction:
     The code runs iteratively over unreduced integer pairs (numerator,
     denominator > 0), so an expression of any depth evaluates, and the one
     reduction is the final Fraction. ifneg evaluates only the branch taken.
+    Raises TypeError unless x and the constants are exact (the rule in rationals).
     """
     if not isinstance(e, _Node):
         raise TypeError(f"not an expression node: {e!r}")
     code = e._code
-    xn, xd = x.numerator, x.denominator
+    xn, xd = _exact(x, "x").numerator, x.denominator
     nums, dens = [], []
     pc, end = 0, len(code)
     while pc < end:

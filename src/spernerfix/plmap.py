@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import CertificateError
+from .rationals import CertificateError, _count, _exact
 from .sperner import Grid, Labeling
 
 __all__ = [
@@ -72,13 +72,11 @@ def pl_evaluate(plmap: PLMap, x: Fraction) -> Fraction:
     x is written as the convex combination lam * v[k-1] + (1 - lam) * v[k]
     of the endpoints of its edge and the same combination of the endpoint
     images is returned. Vertex hits use the smallest containing edge; both
-    candidate edges agree there. Raises TypeError unless x is an int or a
-    Fraction.
+    candidate edges agree there. Raises TypeError unless x is exact (the
+    rule in rationals).
     """
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"x must be an int or a Fraction, not {x!r}")
     vertices = plmap.grid.vertices
-    if not vertices[0] <= x <= vertices[-1]:
+    if not vertices[0] <= _exact(x, "x") <= vertices[-1]:
         raise ValueError(f"{x} outside the domain [{vertices[0]}, {vertices[-1]}]")
     k = max(bisect_left(vertices, x), 1)
     v_left, v_right = vertices[k - 1], vertices[k]
@@ -156,7 +154,7 @@ def pl_trace(plmap: PLMap, samples_per_edge: int = 8) -> list[tuple[Fraction, Fr
     vertex j: one pass over the edges, linear in the rows returned. More
     than TRACE_ROW_BUDGET rows are refused before any row is built.
     """
-    if samples_per_edge < 1:
+    if _count(samples_per_edge, "samples_per_edge") < 1:
         raise ValueError("samples_per_edge must be at least 1")
     vertices = plmap.grid.vertices
     targets = plmap.target_index

@@ -4,10 +4,10 @@ Every quantity in this package is a `fractions.Fraction`: arbitrary-precision
 numerator, positive denominator, always reduced to lowest terms. That makes
 every comparison and every certificate in the package an exact decision, never
 a floating-point approximation. This module adds the small amount of surface
-the rest of the package needs on top of the stdlib type: the error raised when
-such a decision comes out against a certificate, an exact order test against
-sqrt(2), the text literal format of the CLI and of expression constants, and
-display-only decimal rendering.
+the rest of the package needs on top of the stdlib type: the one exactness
+check of its inputs, the error raised when such a decision comes out against a
+certificate, an exact order test against sqrt(2), the text literal format of
+the CLI and of expression constants, and display-only decimal rendering.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ __all__ = ["CertificateError", "ParseError", "decimal_string", "is_below_sqrt2",
 # integer (group 1), optional "/" and positive decimal integer denominator
 # (group 2). ASCII digits only; no whitespace anywhere inside the literal.
 _LITERAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# The exact kinds of number; int first, so an int skips Fraction's ABC instance hook.
+_EXACT = (int, Fraction)
 
 
 class ParseError(ValueError):
@@ -42,13 +45,28 @@ class CertificateError(AssertionError):
     """
 
 
+def _exact(value, name: str, *args):
+    """value, if it is an int or a Fraction (subclasses too) but not a bool; else
+    TypeError naming the argument name.format(*args), formatted only then."""
+    if isinstance(value, _EXACT) and value.__class__ is not bool:
+        return value
+    raise TypeError(f"{name.format(*args)} must be an int or a Fraction, not {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """value, if it is an int and not a bool; else TypeError naming it."""
+    if type(value) is int:
+        return value
+    raise TypeError(f"{name} must be an int, not {value!r}")
+
+
 def is_below_sqrt2(x: Fraction) -> bool:
     """True iff x < sqrt(2), decided exactly by squaring.
 
-    Requires x > 0. The case x*x == 2 cannot occur for rational x (2 is not
-    a rational square); reaching it raises CertificateError.
+    Requires an exact x > 0. The case x*x == 2 cannot occur for rational x
+    (2 is not a rational square); reaching it raises CertificateError.
     """
-    if x <= 0:
+    if _exact(x, "x") <= 0:
         raise ValueError("is_below_sqrt2 requires a positive argument")
     sq = x * x
     if sq == 2:
@@ -87,6 +105,6 @@ def decimal_string(q: Fraction) -> str:
 
     Display only; the result never feeds back into computation.
     """
-    sign = "-" if q < 0 else ""
+    sign = "-" if _exact(q, "q") < 0 else ""
     whole, rem = divmod(abs(q.numerator), q.denominator)
     return f"{sign}{whole}.{rem * 10**12 // q.denominator:012d}"

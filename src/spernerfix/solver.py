@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Literal, Union, get_args
 
 from .expr import Expr, as_function
+from .rationals import _count, _exact
 from .sperner import ExactVertex, NonSelfMapError
 
 __all__ = [
@@ -79,22 +80,13 @@ class SolverConfig:
     mode: Mode = "refine"
 
     def __post_init__(self):
-        # type(), not isinstance(): a bool is an int, and is refused too
-        for name, kinds, spelled in (
-            ("epsilon", (int, Fraction), "an int or a Fraction"),
-            ("lipschitz", (int, Fraction, type(None)), "None, an int or a Fraction"),
-            ("branching", (int,), "an int"),
-            ("max_rounds", (int,), "an int"),
-        ):
-            if type(value := getattr(self, name)) not in kinds:
-                raise TypeError(f"{name} must be {spelled}, not {value!r}")
-        if self.epsilon <= 0:
+        if _exact(self.epsilon, "epsilon") <= 0:
             raise ValueError("epsilon must be positive")
-        if self.lipschitz is not None and self.lipschitz <= 0:
+        if self.lipschitz is not None and _exact(self.lipschitz, "lipschitz") <= 0:
             raise ValueError("lipschitz bound must be positive")
-        if self.branching < 2:
+        if _count(self.branching, "branching") < 2:
             raise ValueError("branching must be at least 2")
-        if self.max_rounds < 1:
+        if _count(self.max_rounds, "max_rounds") < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.mode not in get_args(Mode):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -139,21 +131,18 @@ FixPointResult = Union[ExactVertex, CertifiedBracket]
 
 
 def residual(f: Function, x: Fraction) -> Fraction:
-    """Exact residual g(x) = f(x) - x; zero exactly at fixed points."""
-    return as_function(f)(x) - x
+    """Exact residual g(x) = f(x) - x, zero exactly at fixed points; x must be exact."""
+    return as_function(f)(_exact(x, "x")) - x
 
 
 def archimedean_n(delta: Fraction, a: Fraction, b: Fraction) -> int:
     """Smallest positive integer n with (b - a) < n * delta, exactly.
 
-    Raises TypeError unless delta, a and b are ints or Fractions.
+    Raises TypeError unless delta, a and b are exact (the rule in rationals).
     """
-    for name, value in (("delta", delta), ("a", a), ("b", b)):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"{name} must be an int or a Fraction, not {value!r}")
-    if delta <= 0:
+    if _exact(delta, "delta") <= 0:
         raise ValueError("delta must be positive")
-    if not a < b:
+    if not _exact(a, "a") < _exact(b, "b"):
         raise ValueError("requires a < b")
     return (b - a) // delta + 1
 
@@ -165,11 +154,9 @@ def residual_bound(bracket: CertifiedBracket, lipschitz: Fraction) -> Fraction:
     this value provided f genuinely satisfies the declared bound over the
     real interval. A false declaration voids the claim (the sign evidence
     in the bracket itself remains exact either way). Raises TypeError unless
-    lipschitz is an int or a Fraction.
+    lipschitz is exact (the rule in rationals).
     """
-    if not isinstance(lipschitz, (int, Fraction)):
-        raise TypeError(f"lipschitz must be an int or a Fraction, not {lipschitz!r}")
-    if lipschitz <= 0:
+    if _exact(lipschitz, "lipschitz") <= 0:
         raise ValueError("lipschitz bound must be positive")
     return Fraction((lipschitz + 1) * bracket.width, 2)
 
@@ -198,8 +185,8 @@ def refine_rounds(
     whether the width target is met; a single_grid solve has one round, so
     it yields round 0 and its final result. An exactly fixed endpoint or
     queried vertex is yielded as ExactVertex and ends the stream. Raises
-    TypeError when a value of f is not an int or a Fraction; on the first
-    next(), also when a or b is not one (before f is evaluated), ValueError
+    TypeError when a value of f is not exact (the rule in rationals); on the
+    first next(), also when a or b is not (before f is evaluated), ValueError
     unless a < b or when a single_grid grid exceeds SINGLE_GRID_BUDGET, and
     NonSelfMapError when the endpoint residuals show f escaping [a, b].
     """
@@ -219,18 +206,14 @@ def _result(item, last: CertifiedBracket | None = None) -> FixPointResult:
 
 
 def _sign(x, y) -> int:
-    """The sign of y - x as an integer; y = f(x) must be an int or a Fraction."""
-    if not isinstance(y, (int, Fraction)):
-        raise TypeError(f"f({x}) must be an int or a Fraction, not {y!r}")
-    return y.numerator * x.denominator - x.numerator * y.denominator
+    """The sign of y - x as an integer; y = f(x) must be exact."""
+    return _exact(y, "f({})", x).numerator * x.denominator - x.numerator * y.denominator
 
 
 def _rounds(f: Function, a: Fraction, b: Fraction, config: SolverConfig):
     """The one probe loop: refine_rounds with each bracket a tuple (lo, hi,
     f(lo), f(hi), round, converged), in which a kept end is the same object."""
-    if type(a) not in (int, Fraction) or type(b) not in (int, Fraction):  # as in SolverConfig
-        raise TypeError(f"a and b must be ints or Fractions, not {a!r} and {b!r}")
-    if not a < b:
+    if not _exact(a, "a") < _exact(b, "b"):
         raise ValueError("requires a < b")
     fn = as_function(f)
     f_lo, f_hi = fn(a), fn(b)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .expr import Expr, as_function
-from .rationals import CertificateError, ParseError, parse_rational
+from .rationals import CertificateError, ParseError, _exact, parse_rational
 
 __all__ = [
     "BoundaryConditionError", "ExactVertex", "Grid", "Labeling", "NonSelfMapError",
@@ -48,8 +48,7 @@ class Grid:
             raise ValueError("grid needs at least two vertices")
         vertices = self.vertices
         for j, v in enumerate(vertices):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"grid vertex {j} must be an int or a Fraction, not {v!r}")
+            _exact(v, "grid vertex {}", j)
             if j and not vertices[j - 1] < v:
                 raise ValueError("grid vertices must be strictly increasing")
 
@@ -64,7 +63,7 @@ class Labeling:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 2:
             raise ValueError("labeling needs at least two vertices")
-        if any(v not in (0, 1) for v in self.labels):
+        if any(type(v) is not int or v not in (0, 1) for v in self.labels):
             raise ValueError("labels must be 0 or 1")
         if self.labels[0] != 0 or self.labels[-1] != 1:
             raise BoundaryConditionError(

@@ -753,19 +753,29 @@ def turns_float_inside(x):
 
 class TestRationalValuesOnly:
     @pytest.mark.parametrize(
-        "a, b",
-        [(0.0, 1.0), (Fraction(0), 1.0), (0.0, Fraction(1)), (False, True), ("0", "1")],
+        "a, b, message",
+        [
+            (0.0, 1.0, "a must be an int or a Fraction, not 0.0"),
+            (Fraction(0), 1.0, "b must be an int or a Fraction, not 1.0"),
+            (0.0, Fraction(1), "a must be an int or a Fraction, not 0.0"),
+            (False, True, "a must be an int or a Fraction, not False"),
+            ("0", "1", "a must be an int or a Fraction, not '0'"),
+        ],
         ids=repr,
     )
-    def test_endpoints_refused_before_any_evaluation(self, a, b):
-        with pytest.raises(TypeError, match="a and b must be ints or Fractions"):
+    def test_endpoints_refused_before_any_evaluation(self, a, b, message):
+        # a is named first, then b
+        with pytest.raises(TypeError) as exc:
             solve(never_called, a, b)
-        with pytest.raises(TypeError, match="a and b must be ints or Fractions"):
+        assert str(exc.value) == message
+        with pytest.raises(TypeError) as exc:
             next(refine_rounds(never_called, a, b, SolverConfig()))
+        assert str(exc.value) == message
 
     def test_float_endpoints_of_an_expression(self):
-        with pytest.raises(TypeError, match=r"not 0\.0 and 1\.0"):
+        with pytest.raises(TypeError) as exc:
             solve(parse("(1-x)/3"), 0.0, 1.0)
+        assert str(exc.value) == "a must be an int or a Fraction, not 0.0"
 
     def test_int_endpoints_and_values_are_rational(self):
         f = parse("(1-x)/3")

@@ -234,6 +234,8 @@ def cmd_plmap(args) -> int:
     labeling = Labeling(parse_labels(args.labels))
     plmap = pl_from_labeling(Grid(parse_vertices(args.vertices)), labeling)
 
+    if args.action != "eval" and args.x is not None:
+        raise ValueError(f"the {args.action} action takes no evaluation point")
     if args.action == "eval":
         if args.x is None:
             raise ValueError("the eval action requires an evaluation point")

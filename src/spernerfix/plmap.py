@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, pairwise
 
 from .rationals import CertificateError, _count, _exact
 from .sperner import Grid, Labeling
@@ -103,10 +104,13 @@ def pl_fixed_points(plmap: PLMap) -> list[Fraction]:
             raise CertificateError(f"a vertex of edge {max(k, 1)} is its own image")
         right_above = t > k
         if left_above != right_above:
-            x_left, x_right = vertices[k - 1], vertices[k]
-            r_left = vertices[targets[k - 1]] - x_left
-            r_right = vertices[t] - x_right
-            points.append(x_left + Fraction(r_left * (x_right - x_left), r_left - r_right))
+            # x = (x_r*y_l - x_l*y_r) / ((y_l - y_r) - (x_l - x_r)) in integers,
+            # with x_l = a/dx, x_r = b/dx, y_l = c/dy and y_r = e/dy.
+            x_l, x_r, y_l, y_r = vertices[k - 1], vertices[k], vertices[targets[k - 1]], vertices[t]
+            dx, dy = x_l.denominator * x_r.denominator, y_l.denominator * y_r.denominator
+            a, b = x_l.numerator * x_r.denominator, x_r.numerator * x_l.denominator
+            c, e = y_l.numerator * y_r.denominator, y_r.numerator * y_l.denominator
+            points.append(Fraction(b * c - a * e, (c - e) * dx - (a - b) * dy))
         left_above = right_above
     return points
 
@@ -145,14 +149,24 @@ def theorem_roundtrip(grid: Grid, labeling: Labeling) -> list[FixedPointWitness]
     return witnesses
 
 
+def _along(u, v, t: int, s: int) -> Fraction:
+    """The point t/s of the way from u to v, as one Fraction built from integers."""
+    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+    return Fraction((s - t) * un * vd + t * vn * ud, s * ud * vd)
+
+
 def pl_trace(plmap: PLMap, samples_per_edge: int = 8) -> list[tuple[Fraction, Fraction]]:
     """Exact (x, value) samples along each edge, for external plotting.
 
     Emits samples_per_edge points per edge plus the final vertex; every
     vertex is included, so the breakpoints are preserved. Sample t of edge
-    k is (v[k-1] + span*t/s, y[k-1] + rise*t/s), with y[j] the image of
-    vertex j: one pass over the edges, linear in the rows returned. More
-    than TRACE_ROW_BUDGET rows are refused before any row is built.
+    k is the point t/s along it, with s = samples_per_edge, and its value is
+    the point t/s from the image of v[k-1] to the image of v[k]. Each sample
+    is built once, as one Fraction from integers, and an image that runs
+    along a grid edge is that edge's own samples: a map from a labeling
+    builds new values only on its 1->0 edges. Vertex rows are the grid's own
+    vertices. Linear in the rows returned; no point is located by search.
+    More than TRACE_ROW_BUDGET rows are refused before any row is built.
     """
     if _count(samples_per_edge, "samples_per_edge") < 1:
         raise ValueError("samples_per_edge must be at least 1")
@@ -163,13 +177,18 @@ def pl_trace(plmap: PLMap, samples_per_edge: int = 8) -> list[tuple[Fraction, Fr
         raise ValueError(
             f"a trace of {row_count} rows exceeds the budget of {TRACE_ROW_BUDGET} rows"
         )
-    steps = [Fraction(t, samples_per_edge) for t in range(1, samples_per_edge)]
-    rows = []
-    for k in range(1, len(vertices)):
-        x_left, y_left = vertices[k - 1], vertices[targets[k - 1]]
-        span = vertices[k] - x_left
-        rise = vertices[targets[k]] - y_left
-        rows.append((x_left, y_left))
-        rows.extend((x_left + span * step, y_left + rise * step) for step in steps)
+    s = samples_per_edge
+    # at[t][k - 1] is the point t/s along edge k; ys[t][k - 1] is its value.
+    edges = list(pairwise(vertices))
+    at = [vertices[:-1]] + [[_along(u, v, t, s) for u, v in edges] for t in range(1, s)]
+    ys = [[vertices[p] for p in targets[:-1]]] + [
+        [
+            at[t][p] if q == p + 1 else at[s - t][q] if q == p - 1
+            else _along(vertices[p], vertices[q], t, s)
+            for p, q in pairwise(targets)
+        ]
+        for t in range(1, s)
+    ]
+    rows = list(zip(chain.from_iterable(zip(*at)), chain.from_iterable(zip(*ys))))
     rows.append((vertices[-1], vertices[targets[-1]]))
     return rows

@@ -111,6 +111,10 @@ class CertifiedBracket:
     converged: bool = True
 
     def __post_init__(self):
+        _exact(self.lo, "lo")
+        _exact(self.hi, "hi")
+        _exact(self.g_lo, "g_lo")
+        _exact(self.g_hi, "g_hi")
         if not self.lo < self.hi:
             raise ValueError("bracket requires lo < hi")
         if not self.g_lo > 0:

@@ -77,6 +77,9 @@ class ExactVertex:
 
     x: Fraction
 
+    def __post_init__(self):
+        _exact(self.x, "x")
+
 
 # make_uniform_grid and label_by_sign are left out of __all__: nothing in the
 # package calls them. The tests use them as eager references for the solver,

@@ -310,6 +310,13 @@ class TestPlmap:
         assert code == 1
         assert "point" in stderr
 
+    @pytest.mark.parametrize("action, extra", [("trace", "1/2"), ("fixed-points", "junk")])
+    def test_other_actions_refuse_an_evaluation_point(self, action, extra):
+        code, stdout, stderr = run_cli(["plmap", "0,1", "--vertices", "0,1", action, extra])
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: the {action} action takes no evaluation point\n"
+
     def test_eval_out_of_domain(self):
         code, _, stderr = run_cli(["plmap", "0,1", "--vertices", "0,1", "eval", "3"])
         assert code == 1

@@ -17,6 +17,7 @@ from spernerfix import (
     Add,
     CertifiedBracket,
     Const,
+    ExactVertex,
     Grid,
     Labeling,
     SolverConfig,
@@ -74,6 +75,11 @@ EXACT = [
     ("is_below_sqrt2", is_below_sqrt2, "x", 1),
     ("decimal_string", decimal_string, "q", 1),
     ("assert_no_fixed_point", assert_no_fixed_point, "x", 1),
+    ("CertifiedBracket.lo", lambda v: CertifiedBracket(v, 2, 1, -1, 0), "lo", 1),
+    ("CertifiedBracket.hi", lambda v: CertifiedBracket(0, v, 1, -1, 0), "hi", 1),
+    ("CertifiedBracket.g_lo", lambda v: CertifiedBracket(0, 1, v, -1, 0), "g_lo", 1),
+    ("CertifiedBracket.g_hi", lambda v: CertifiedBracket(0, 1, 1, v, 0), "g_hi", -1),
+    ("ExactVertex", ExactVertex, "x", 1),
 ]
 COUNTS = [
     ("SolverConfig.branching", lambda v: SolverConfig(branching=v), "branching", 2),

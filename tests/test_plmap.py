@@ -26,6 +26,10 @@ from spernerfix.sperner import ExactVertex, Grid, Labeling
 UNIT_GRID_3 = Grid((Fraction(0), Fraction(1), Fraction(2)))
 
 
+class Watched(Fraction):
+    """A Fraction whose comparisons or arithmetic a test can forbid."""
+
+
 def boundary_respecting_labelings(n):
     for interior in product((0, 1), repeat=n - 1):
         yield Labeling((0, *interior, 1))
@@ -268,9 +272,6 @@ class TestPLFixedPoints:
     def test_compares_no_rational(self, monkeypatch):
         # Signs come from the target indices, so once the grid is validated
         # no vertex is compared, not even on the self-image path.
-        class Watched(Fraction):
-            pass
-
         def no_comparison(*args):
             raise AssertionError("a rational was compared")
 
@@ -506,3 +507,82 @@ class TestTrace:
             pl_trace(plmap, TRACE_ROW_BUDGET)
         with pytest.raises(ValueError, match="exceeds the budget"):
             pl_trace(plmap, 10**18)
+
+
+ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
+
+
+class TestIntegerArithmetic:
+    """Every point of pl_trace and pl_fixed_points is one Fraction built
+    from integers, and a trace builds each sample once."""
+
+    def watched_plmaps(self, monkeypatch):
+        """seeded_plmaps on plain Fractions, and the same maps on Watched
+        grids, returned once Watched arithmetic raises."""
+
+        def no_arithmetic(*args):
+            raise AssertionError("rational arithmetic in the PL layer")
+
+        plain = list(seeded_plmaps(33, 60))
+        watched = [
+            PLMap(Grid(tuple(Watched(v) for v in p.grid.vertices)), p.target_index)
+            for p in plain
+        ]
+        for name in ARITHMETIC:
+            monkeypatch.setattr(Watched, name, no_arithmetic)
+        return plain, watched
+
+    @pytest.mark.parametrize("samples_per_edge", range(1, 6))
+    def test_trace_does_no_rational_arithmetic(self, monkeypatch, samples_per_edge):
+        plain, watched = self.watched_plmaps(monkeypatch)
+        expected = [reference_trace(p, samples_per_edge) for p in plain]
+        assert [pl_trace(p, samples_per_edge) for p in watched] == expected
+
+    def test_fixed_points_do_no_rational_arithmetic(self, monkeypatch):
+        plain, watched = self.watched_plmaps(monkeypatch)
+        expected = [outcome(reference_fixed_points, p) for p in plain]
+        assert [outcome(pl_fixed_points, p) for p in watched] == expected
+
+    @pytest.mark.parametrize("samples_per_edge", [1, 2, 5])
+    def test_vertex_rows_are_the_grid_vertices(self, samples_per_edge):
+        # Large ints, so that an equal value rebuilt by arithmetic is not
+        # the same object; the targets are arbitrary, not only neighbours.
+        rng = random.Random(34)
+        for n in range(1, 12):
+            vertices = tuple(10**30 + 7919 * j for j in range(n + 1))
+            targets = [rng.randrange(n + 1) for _ in vertices]
+            rows = pl_trace(PLMap(Grid(vertices), targets), samples_per_edge)
+            for j, t in enumerate(targets):
+                x, y = rows[j * samples_per_edge]
+                assert x is vertices[j] and y is vertices[t]
+
+    @pytest.mark.parametrize("samples_per_edge", [1, 2, 3, 8])
+    def test_cost_model(self, monkeypatch, samples_per_edge):
+        # n x-samples per sample index, plus one new value on each 1->0 edge:
+        # every other edge's image runs along a grid edge.
+        built = 0
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return Fraction(*args)
+
+        rng = random.Random(35)
+        cases = []
+        for _ in range(30):
+            n = rng.randint(1, 40)
+            labels = (0, *(rng.randint(0, 1) for _ in range(n - 1)), 1)
+            m = sum(labels[k - 1:k + 1] == (1, 0) for k in range(1, n + 1))
+            cases.append((pl_from_labeling(random_grid(rng, n), Labeling(labels)), n, m))
+        assert any(m for _, _, m in cases)
+        monkeypatch.setattr(plmap_module, "Fraction", counting)
+        for plmap, n, m in cases:
+            built = 0
+            pl_trace(plmap, samples_per_edge)
+            assert built == (samples_per_edge - 1) * (n + m)
+            built = 0
+            points = pl_fixed_points(plmap)
+            assert built == len(points)

@@ -8,10 +8,11 @@ Subcommands expose each part of the library with machine-readable output:
 * ``counterexample`` - the rational inequivalence demonstration
 
 Output formats are ``human``, ``json``, and ``csv`` (``--format``, or the
-SPERNERFIX_FORMAT environment variable as the default). Rationals cross the
-boundary as literal strings, never as native floats, including inside JSON;
-decimal renderings are exact truncations. Each invocation emits one
-well-formed JSON document in json mode and a header row in csv mode.
+SPERNERFIX_FORMAT environment variable as the default, read on each
+invocation). Rationals cross the boundary as literal strings, never as
+native floats, including inside JSON; decimal renderings are exact
+truncations. Each invocation emits one well-formed JSON document in json
+mode and a header row in csv mode.
 
 Exit codes: 0 success; 1 malformed input, including a malformed invocation
 and a result or a counterexample depth whose report holds an integer too
@@ -96,35 +97,30 @@ def _emit(fmt: str, doc, columns: list[str], rows: list[list[str]], lines: list[
             print(line)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=_default_format(),
-        help="output format (default from SPERNERFIX_FORMAT, else human)",
-    )
-
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process on the first main call."""
     parser = argparse.ArgumentParser(
         prog="spernerfix",
         description="Certified one-dimensional fixed-point search over exact rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "sperner",
-        parents=[common],
-        help="find a transition edge of a 0/1 labeling",
-    )
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # --format defaults to None: main reads SPERNERFIX_FORMAT on each call
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format",
+            choices=FORMATS,
+            help="output format (default from SPERNERFIX_FORMAT, else human)",
+        )
+        return p
+
+    p = command("sperner", "find a transition edge of a 0/1 labeling")
     p.add_argument("labels", help="comma-separated labels, e.g. 0,0,1,1")
     p.add_argument("--vertices", help="comma-separated rational vertices aligned with the labels")
-    p.set_defaults(func=cmd_sperner)
 
-    p = sub.add_parser(
-        "solve",
-        parents=[common],
-        help="locate a fixed point of an expression on [a, b]",
-    )
+    p = command("solve", "locate a fixed point of an expression on [a, b]")
     p.add_argument("expr", help="expression text, or - to read it from stdin")
     p.add_argument("a", help="left endpoint (rational literal)")
     p.add_argument("b", help="right endpoint (rational literal)")
@@ -135,27 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-rounds", type=int, default=SolverConfig.max_rounds, dest="max_rounds")
     p.add_argument("--mode", choices=get_args(Mode), default=SolverConfig.mode)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser(
-        "plmap",
-        parents=[common],
-        help="piecewise-linear extension of a labeled grid",
-    )
+    p = command("plmap", "piecewise-linear extension of a labeled grid")
     p.add_argument("labels", help="comma-separated labels, e.g. 0,0,1")
     p.add_argument("--vertices", required=True, help="comma-separated rational vertices")
     p.add_argument("action", choices=["eval", "fixed-points", "trace"])
     p.add_argument("x", nargs="?", help="evaluation point (eval action only)")
     p.add_argument("--resolution", type=int, default=8, help="samples per edge (trace action)")
-    p.set_defaults(func=cmd_plmap)
 
-    p = sub.add_parser(
-        "counterexample",
-        parents=[common],
-        help="run the rational counterexample demonstration",
-    )
+    p = command("counterexample", "run the rational counterexample demonstration")
     p.add_argument("--depth", type=int, required=True, help="number of bisection rounds")
-    p.set_defaults(func=cmd_counterexample)
 
     return parser
 
@@ -305,15 +290,16 @@ def cmd_counterexample(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a malformed invocation, but 2 means a boundary
         # or self-map violation here
         return 0 if exc.code == 0 else 1
+    args.format = args.format or _default_format()
     try:
-        return args.func(args)
+        # found by name on each call, so a replaced cmd_* attribute is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (BoundaryConditionError, NonSelfMapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,23 +67,29 @@ def pl_from_labeling(grid: Grid, labeling: Labeling) -> PLMap:
     return PLMap(grid, targets)
 
 
+def _along(u, v, t: int, s: int) -> Fraction:
+    """The point t/s of the way from u to v, as one Fraction built from integers."""
+    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+    return Fraction((s - t) * un * vd + t * vn * ud, s * ud * vd)
+
+
 def pl_evaluate(plmap: PLMap, x: Fraction) -> Fraction:
     """Evaluate the interpolant at x, exactly.
 
-    x is written as the convex combination lam * v[k-1] + (1 - lam) * v[k]
-    of the endpoints of its edge and the same combination of the endpoint
-    images is returned. Vertex hits use the smallest containing edge; both
-    candidate edges agree there. Raises TypeError unless x is exact (the
-    rule in rationals).
+    x is the point t/s of the way from u = v[k-1] to v = v[k] along its
+    edge, with t and s integers, and the value is the point t/s of the way
+    from the image of u to the image of v: one Fraction built from integers.
+    Vertex hits use the smallest containing edge; both candidate edges agree
+    there. Raises TypeError unless x is exact (the rule in rationals).
     """
     vertices = plmap.grid.vertices
     if not vertices[0] <= _exact(x, "x") <= vertices[-1]:
         raise ValueError(f"{x} outside the domain [{vertices[0]}, {vertices[-1]}]")
     k = max(bisect_left(vertices, x), 1)
-    v_left, v_right = vertices[k - 1], vertices[k]
-    targets = plmap.target_index
-    lam = Fraction(v_right - x, v_right - v_left)
-    return lam * vertices[targets[k - 1]] + (1 - lam) * vertices[targets[k]]
+    u, v, targets = vertices[k - 1], vertices[k], plmap.target_index
+    t = (x.numerator * u.denominator - u.numerator * x.denominator) * v.denominator
+    s = (v.numerator * u.denominator - u.numerator * v.denominator) * x.denominator  # > 0
+    return _along(vertices[targets[k - 1]], vertices[targets[k]], t, s)
 
 
 def pl_fixed_points(plmap: PLMap) -> list[Fraction]:
@@ -147,12 +153,6 @@ def theorem_roundtrip(grid: Grid, labeling: Labeling) -> list[FixedPointWitness]
             raise CertificateError(f"fixed point {x} is not strictly inside hetero edge {k}")
         witnesses.append(FixedPointWitness(x, k, (labels[k - 1], labels[k])))
     return witnesses
-
-
-def _along(u, v, t: int, s: int) -> Fraction:
-    """The point t/s of the way from u to v, as one Fraction built from integers."""
-    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
-    return Fraction((s - t) * un * vd + t * vn * ud, s * ud * vd)
 
 
 def pl_trace(plmap: PLMap, samples_per_edge: int = 8) -> list[tuple[Fraction, Fraction]]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -499,9 +500,44 @@ class TestArgumentHandling:
         ids=[" ".join(argv) for argv, *_ in _ARGPARSE_TRANSCRIPTS],
     )
     def test_transcript_golden(self, monkeypatch, argv, code, stdout, stderr):
-        # argparse wraps usage to the terminal width, read from COLUMNS
+        # argparse wraps usage to the terminal width, read from COLUMNS. A
+        # call at another width first: the parser, once built, keeps no width.
+        monkeypatch.setenv("COLUMNS", "200")
+        run_cli(["--help"])
         monkeypatch.setenv("COLUMNS", "80")
         assert run_cli(argv) == (code, stdout, stderr)
+
+    def test_format_default_is_read_per_call(self, monkeypatch):
+        monkeypatch.delenv("SPERNERFIX_FORMAT", raising=False)
+        assert run_cli(["sperner", "0,1"]) == (0, "scan edge: 1\nbisect edge: 1\n", "")
+        monkeypatch.setenv("SPERNERFIX_FORMAT", "json")
+        assert run_cli(["sperner", "0,1"]) == (0, '{"scan":1,"bisect":1}\n', "")
+        monkeypatch.setenv("SPERNERFIX_FORMAT", "xml")
+        assert run_cli(["sperner", "0,1"]) == (0, "scan edge: 1\nbisect edge: 1\n", "")
+
+    def test_one_parser_per_process_and_handlers_found_by_name(self, monkeypatch):
+        run_cli(["sperner", "0,1"])
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(["sperner", "0,1"])[0] == 0
+        assert built == 0
+        # A replaced cmd_* attribute is the handler run, as a tracer needs.
+        calls = []
+
+        def wrapper(args):
+            calls.append(args.labels)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_sperner", wrapper)
+        assert run_cli(["sperner", "0,1"]) == (0, "", "")
+        assert calls == ["0,1"]
 
     def test_env_var_sets_default_format(self, monkeypatch):
         monkeypatch.setenv("SPERNERFIX_FORMAT", "json")

@@ -62,6 +62,15 @@ def seeded_plmaps(seed, count):
             yield pl_from_labeling(grid, labeling)
 
 
+def reference_evaluate(plmap, x):
+    """x located by search and written as the convex combination
+    lam * v[k-1] + (1 - lam) * v[k]; the same combination of the images."""
+    vertices, targets = plmap.grid.vertices, plmap.target_index
+    k = max(bisect_left(vertices, x), 1)
+    lam = Fraction(vertices[k] - x, vertices[k] - vertices[k - 1])
+    return lam * vertices[targets[k - 1]] + (1 - lam) * vertices[targets[k]]
+
+
 def reference_trace(plmap, samples_per_edge):
     """Every sample located by search and evaluated as a convex combination."""
     vertices = plmap.grid.vertices
@@ -70,7 +79,7 @@ def reference_trace(plmap, samples_per_edge):
         span = vertices[k] - vertices[k - 1]
         for t in range(samples_per_edge):
             x = vertices[k - 1] + span * Fraction(t, samples_per_edge)
-            rows.append((x, pl_evaluate(plmap, x)))
+            rows.append((x, reference_evaluate(plmap, x)))
     rows.append((vertices[-1], vertices[plmap.target_index[-1]]))
     return rows
 
@@ -516,8 +525,8 @@ ARITHMETIC = (
 
 
 class TestIntegerArithmetic:
-    """Every point of pl_trace and pl_fixed_points is one Fraction built
-    from integers, and a trace builds each sample once."""
+    """Every point of pl_trace, pl_fixed_points and pl_evaluate is one
+    Fraction built from integers, and a trace builds each sample once."""
 
     def watched_plmaps(self, monkeypatch):
         """seeded_plmaps on plain Fractions, and the same maps on Watched
@@ -545,6 +554,13 @@ class TestIntegerArithmetic:
         plain, watched = self.watched_plmaps(monkeypatch)
         expected = [outcome(reference_fixed_points, p) for p in plain]
         assert [outcome(pl_fixed_points, p) for p in watched] == expected
+
+    def test_evaluate_does_no_rational_arithmetic(self, monkeypatch):
+        plain, watched = self.watched_plmaps(monkeypatch)
+        for p, w in zip(plain, watched):
+            xs = [x for x, _ in reference_trace(p, 5)]  # every vertex included
+            expected = [reference_evaluate(p, x) for x in xs]
+            assert [pl_evaluate(w, Watched(x)) for x in xs] == expected
 
     @pytest.mark.parametrize("samples_per_edge", [1, 2, 5])
     def test_vertex_rows_are_the_grid_vertices(self, samples_per_edge):

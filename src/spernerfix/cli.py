@@ -10,14 +10,16 @@ Subcommands expose each part of the library with machine-readable output:
 Output formats are ``human``, ``json``, and ``csv`` (``--format``, or the
 SPERNERFIX_FORMAT environment variable as the default, read on each
 invocation). Rationals cross the boundary as literal strings, never as
-native floats, including inside JSON; decimal renderings are exact
-truncations. Each invocation emits one well-formed JSON document in json
-mode and a header row in csv mode.
+native floats, including inside JSON, and the interpreter's str() decides
+which are too long to print; decimal renderings are exact truncations. Each
+invocation emits one well-formed JSON document in json mode and a header
+row in csv mode.
 
-Exit codes: 0 success; 1 malformed input, including a malformed invocation
-and a result or a counterexample depth whose report holds an integer too
-long to print; 2 boundary-condition or self-map violation; 3 bracket
-returned but unconverged (report still emitted).
+Exit codes: 0 success; 1 malformed input, including a malformed invocation,
+an option its action does not take, a result or a counterexample depth whose
+report holds an integer too long to print, and stdout closed by its reader;
+2 boundary-condition or self-map violation; 3 bracket returned but
+unconverged (report still emitted).
 """
 
 from __future__ import annotations
@@ -59,34 +61,25 @@ def _default_format() -> str:
     return value if value in FORMATS else "human"
 
 
+def _text(q: Fraction | int, refusal: str = "the result is too long to print") -> str:
+    """str(q); the interpreter's refusal of an integer over its int-to-string
+    digit limit becomes a ValueError that starts with `refusal`."""
+    try:
+        return str(q)
+    except ValueError:  # for an int or a Fraction, only the digit limit raises
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{refusal}: integers over {limit} digits") from None
+
+
 def _human(q: Fraction) -> str:
-    return f"{q} ({decimal_string(q)})"
-
-
-@cache
-def _power_of_ten(n: int) -> int:
-    return 10**n  # tens of microseconds at the default n of 4300: once per n
-
-
-def _digit_limit() -> tuple[int, int]:
-    """The interpreter's int-to-string digit limit and 10 ** limit, the least
-    integer str() refuses; (0, 0) when there is none: a limit of 0, or an
-    interpreter before 3.10.7."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return limit, _power_of_ten(limit) if limit else 0
-
-
-def _check_printable(values) -> None:
-    """Refuse rationals with an integer that str() would refuse, before any
-    text is built, so a refused result prints nothing."""
-    limit, bound = _digit_limit()
-    if bound and any(abs(q.numerator) >= bound or q.denominator >= bound for q in values):
-        raise ValueError(f"the result is too long to print: integers over {limit} digits")
+    # _text first: decimal_string of an unprintable q would raise Python's message
+    return f"{_text(q)} ({decimal_string(q)})"
 
 
 def _emit(fmt: str, doc, columns: list[str], rows: list[list[str]], lines: list[str]) -> None:
     """Print one command's output in the chosen format: the JSON document,
-    the CSV header and rows, or the human lines."""
+    the CSV header and rows, or the human lines. Every command builds all
+    its text before calling this, so a refused result prints nothing."""
     if fmt == "json":
         print(json.dumps(doc, separators=(",", ":")))
     elif fmt == "csv":
@@ -137,7 +130,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", required=True, help="comma-separated rational vertices")
     p.add_argument("action", choices=["eval", "fixed-points", "trace"])
     p.add_argument("x", nargs="?", help="evaluation point (eval action only)")
-    p.add_argument("--resolution", type=int, default=8, help="samples per edge (trace action)")
+    p.add_argument("--resolution", type=int, default=None, help="samples per edge (trace action)")
 
     p = command("counterexample", "run the rational counterexample demonstration")
     p.add_argument("--depth", type=int, required=True, help="number of bisection rounds")
@@ -159,9 +152,9 @@ def cmd_sperner(args) -> int:
             raise ValueError("vertex count must match label count")
         for k, (name, edge) in enumerate(edges.items()):
             lo, hi = vertices[edge - 1], vertices[edge]
-            doc[f"{name}_edge"] = [str(lo), str(hi)]
+            doc[f"{name}_edge"] = [_text(lo), _text(hi)]
             columns += [f"{name}_lo", f"{name}_hi"]
-            row += [str(lo), str(hi)]
+            row += doc[f"{name}_edge"]
             lines[k] += f" [{_human(lo)}, {_human(hi)}]"
     _emit(args.format, doc, columns, [row], lines)
     return 0
@@ -184,21 +177,19 @@ def cmd_solve(args) -> int:
     # `fields` holds the CSV cells by column; the JSON document has the same
     # keys in the same order, with typed values and decimal companions.
     if isinstance(result, ExactVertex):
-        _check_printable([result.x])
-        fields = {"result": "exact", "mode": config.mode, "x": str(result.x)}
+        fields = {"result": "exact", "mode": config.mode, "x": _text(result.x)}
         doc = {**fields, "x_decimal": decimal_string(result.x)}
         lines = [f"exact fixed point: {_human(result.x)}"]
         code = 0
     else:
         values = {key: getattr(result, key) for key in ("lo", "hi", "g_lo", "g_hi", "width")}
-        _check_printable(values.values())
         fields = {
             "result": "bracket",
             "mode": config.mode,
             "rounds_used": str(result.rounds_used),
             "converged": str(result.converged).lower(),
         }
-        fields.update((key, str(value)) for key, value in values.items())
+        fields.update((key, _text(value)) for key, value in values.items())
         doc = {**fields, "rounds_used": result.rounds_used, "converged": result.converged}
         doc.update((f"{key}_decimal", decimal_string(values[key])) for key in ("lo", "hi", "width"))
         lines = [
@@ -221,25 +212,25 @@ def cmd_plmap(args) -> int:
 
     if args.action != "eval" and args.x is not None:
         raise ValueError(f"the {args.action} action takes no evaluation point")
+    if args.action != "trace" and args.resolution is not None:
+        raise ValueError(f"the {args.action} action takes no --resolution")
     if args.action == "eval":
         if args.x is None:
             raise ValueError("the eval action requires an evaluation point")
         x = parse_rational(args.x)
         value = pl_evaluate(plmap, x)
-        _check_printable([value])
-        columns, rows = ["x", "value"], [[str(x), str(value)]]
-        doc = {"x": str(x), "value": str(value), "value_decimal": decimal_string(value)}
-        lines = [f"value at {x}: {_human(value)}"]
+        x_text, value_text = _text(x), _text(value)
+        columns, rows = ["x", "value"], [[x_text, value_text]]
+        doc = {"x": x_text, "value": value_text, "value_decimal": decimal_string(value)}
+        lines = [f"value at {x_text}: {_human(value)}"]
     elif args.action == "fixed-points":
         points = pl_fixed_points(plmap)
-        _check_printable(points)
-        doc = [str(p) for p in points]
+        doc = [_text(p) for p in points]
         columns, rows = ["fixed_point"], [[p] for p in doc]
         lines = [_human(p) for p in points]
     else:
-        samples = pl_trace(plmap, args.resolution)
-        _check_printable(q for sample in samples for q in sample)
-        doc = rows = [[str(x), str(y)] for x, y in samples]
+        samples = pl_trace(plmap, 8 if args.resolution is None else args.resolution)
+        doc = rows = [[_text(x), _text(y)] for x, y in samples]
         columns = ["x", "value"]
         lines = [f"{x} -> {y}" for x, y in rows]
     _emit(args.format, doc, columns, rows, lines)
@@ -258,7 +249,7 @@ def _report_record(report: CounterexampleReport) -> dict:
         ("midpoint", report.midpoint),
         ("midpoint_residual", report.midpoint_residual),
     ):
-        record[key] = str(value)
+        record[key] = _text(value)
         record[f"{key}_decimal"] = decimal_string(value)
     record["residual_floor_check"] = report.residual_floor_check
     record["contains_sqrt2"] = report.contains_sqrt2
@@ -266,19 +257,19 @@ def _report_record(report: CounterexampleReport) -> dict:
 
 
 def cmd_counterexample(args) -> int:
-    # The largest integer a report prints is the last midpoint's numerator,
-    # 2 * isqrt(2 << 2 * depth) + 1, of depth + 2 bits. The bit count spares
-    # a huge depth its square root.
-    (limit, bound), depth = _digit_limit(), args.depth
-    if bound and depth >= 1:
-        if depth + 2 > bound.bit_length() or 2 * isqrt(2 << 2 * depth) + 1 >= bound:
-            raise ValueError(f"depth {depth} is too deep to print: integers over {limit} digits")
+    # Refused before any round runs. The largest integer a report prints is the
+    # last midpoint's numerator, of depth + 2 bits: over 16 ** limit > 10 ** limit
+    # from depth 4 * limit on, so the cap keeps str()'s verdict and spares a huge
+    # depth its square root. No limit is 0, or none before Python 3.10.7.
+    limit, depth = getattr(sys, "get_int_max_str_digits", lambda: 0)(), args.depth
+    if limit and depth >= 1:
+        _text(2 * isqrt(2 << 2 * min(depth, 4 * limit)) + 1, f"depth {depth} is too deep to print")
     reports = run_demo(depth)
     doc = [_report_record(r) for r in reports]
     rows, lines = [], []
     for r, rec in zip(reports, doc):
         abs_residual = abs(r.midpoint_residual)
-        rows.append([str(r.depth), rec["width"], str(abs_residual)])
+        rows.append([str(r.depth), rec["width"], _text(abs_residual)])
         lines.append(
             f"round {r.depth}: bracket [{rec['lo']}, {rec['hi']}], "
             f"width {rec['width']} ({rec['width_decimal']}), "
@@ -299,7 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     args.format = args.format or _default_format()
     try:
         # found by name on each call, so a replaced cmd_* attribute is the one run
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): on devnull, the final flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (BoundaryConditionError, NonSelfMapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,13 +39,19 @@ def digit_limit():
     sys.set_int_max_str_digits(saved)
 
 
-def run_python_O(script: str) -> subprocess.CompletedProcess:
-    """Run a script under python -O (asserts stripped) against this package."""
+def package_env() -> dict[str, str]:
+    """The environment with this package's source first on PYTHONPATH, so a
+    child interpreter imports the package under test."""
     src = os.path.dirname(os.path.dirname(spernerfix.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python_O(script: str) -> subprocess.CompletedProcess:
+    """Run a script under python -O (asserts stripped) against this package."""
     return subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
         capture_output=True,
         text=True,
         timeout=60,

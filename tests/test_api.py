@@ -228,3 +228,29 @@ def test_one_site_builds_a_certified_bracket():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CertifiedBracket"
     ]
     assert len(calls) == 1
+
+
+def digit_limit_readers():
+    """(module, top-level definition) of each read of the interpreter's
+    int-to-string digit limit in the sources, by attribute or by name string."""
+    limit = "get_int_max_str_digits"
+    readers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if any(
+                (isinstance(node, ast.Attribute) and node.attr == limit)
+                or (isinstance(node, ast.Constant) and node.value == limit)
+                for node in ast.walk(top)
+            ):
+                readers.add((path.stem, getattr(top, "name", None)))
+    return readers
+
+
+def test_only_the_refusals_read_the_digit_limit():
+    # str() and int() decide what is too long; the limit is read only to word
+    # their refusal, and by the one pre-check that predicts it.
+    assert digit_limit_readers() == {
+        ("rationals", "_literal_value"),
+        ("cli", "_text"),
+        ("cli", "cmd_counterexample"),
+    }

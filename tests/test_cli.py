@@ -1,10 +1,12 @@
 import argparse
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import GOLDEN_TRANSCRIPTS, run_cli
+from conftest import GOLDEN_TRANSCRIPTS, package_env, run_cli
 from spernerfix import cli, plmap
 from spernerfix.rationals import parse_rational
 
@@ -311,12 +313,22 @@ class TestPlmap:
         assert code == 1
         assert "point" in stderr
 
-    @pytest.mark.parametrize("action, extra", [("trace", "1/2"), ("fixed-points", "junk")])
-    def test_other_actions_refuse_an_evaluation_point(self, action, extra):
-        code, stdout, stderr = run_cli(["plmap", "0,1", "--vertices", "0,1", action, extra])
+    @pytest.mark.parametrize(
+        "action, extra, refused",
+        [
+            ("trace", ["1/2"], "evaluation point"),
+            ("fixed-points", ["junk"], "evaluation point"),
+            ("eval", ["1/2", "--resolution", "5"], "--resolution"),
+            ("fixed-points", ["--resolution", "0"], "--resolution"),
+        ],
+        ids=["trace-1/2", "fixed-points-junk", "eval-resolution", "fixed-points-resolution"],
+    )
+    def test_other_actions_refuse_an_evaluation_point(self, action, extra, refused):
+        # Also --resolution, which only trace takes.
+        code, stdout, stderr = run_cli(["plmap", "0,1", "--vertices", "0,1", action, *extra])
         assert code == 1
         assert stdout == ""
-        assert stderr == f"error: the {action} action takes no evaluation point\n"
+        assert stderr == f"error: the {action} action takes no {refused}\n"
 
     def test_eval_out_of_domain(self):
         code, _, stderr = run_cli(["plmap", "0,1", "--vertices", "0,1", "eval", "3"])
@@ -369,6 +381,9 @@ class TestCounterexample:
         [
             (640, 2124, True),
             (640, 2125, False),
+            (640, 2559, False),
+            (640, 2560, False),
+            (640, 2561, False),
             (4300, 14282, True),
             (4300, 14283, False),
             (4300, 10**18, False),
@@ -569,6 +584,22 @@ class TestArgumentHandling:
     def test_missing_required_flag_exit_1(self):
         code, _, _ = run_cli(["counterexample"])
         assert code == 1
+
+    def test_closed_pipe_ends_quietly(self):
+        # As `| head -1` does: 118 KB of CSV, past a 64 KiB pipe, so the
+        # writer meets the closed pipe. Exit 1 and no traceback on stderr.
+        script = "import sys; from spernerfix.cli import main; sys.exit(main())"
+        argv = ["counterexample", "--depth", "500", "--format", "csv"]
+        with subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=package_env(),
+        ) as child:
+            assert child.stdout.readline() == b"depth,width,abs_residual\n"
+            child.stdout.close()
+            assert child.wait(timeout=60) == 1
+            assert child.stderr.read() == b""
 
     def test_help_exits_0(self):
         code, stdout, _ = run_cli(["--help"])

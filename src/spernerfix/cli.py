@@ -72,7 +72,7 @@ def _text(q: Fraction | int, refusal: str = "the result is too long to print") -
 
 
 def _human(q: Fraction) -> str:
-    # _text first: decimal_string of an unprintable q would raise Python's message
+    # _text's refusal comes first; decimal_string refuses no q whose str() prints
     return f"{_text(q)} ({decimal_string(q)})"
 
 

@@ -5,11 +5,15 @@ guards: constants, the variable x, the four field operations, and
 ``ifneg(guard, then, else)``, which evaluates `then` when guard(x) < 0 and
 `else` otherwise (including guard(x) = 0). Evaluation is exact; the only
 possible runtime failure is division by zero. Each expression is compiled
-once, on its first evaluation, to postfix code that `evaluate` runs
-iteratively, and that ``==`` and ``hash`` compare. Parsing, and the one
-tree walk that compiling, `to_text` and ``repr`` read, run over explicit
-stacks: nothing in this module recurses, so any expression that fits in
-memory parses, prints, compares, hashes and evaluates.
+once, on its first evaluation, to postfix code, which ``==`` and ``hash``
+compare, and to a form: each piece without ifneg as a pair of integer
+polynomials with its constants folded, and each ifneg over pieces as a
+decision on its guard's pair. `evaluate` runs the form, and the postfix code
+where there is none or a divisor vanishes; the code is the reference, and
+both give the same value and the same error. Parsing, and the one tree walk
+that compiling, building forms, `to_text` and ``repr`` read, run over
+explicit stacks: nothing in this module recurses, so any expression that
+fits in memory parses, prints, compares, hashes and evaluates.
 
 Grammar (version 1), with standard precedence and left association::
 
@@ -35,7 +39,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Union
+from math import gcd
+from typing import Callable, NamedTuple, Union
 
 from .rationals import _LITERAL_RE, ParseError, _exact, _literal_value
 
@@ -51,6 +56,10 @@ class _Node:
     @cached_property
     def _code(self) -> tuple:
         return _compile(self)
+
+    @cached_property
+    def _form(self) -> Fraction | tuple | _Branch | None:
+        return _form_of(self)
 
     def __eq__(self, other: object) -> bool:
         return self._code == other._code if isinstance(other, _Node) else NotImplemented
@@ -116,6 +125,7 @@ _WORD = re.compile(r"\w+").match
 # The child fields of each node class with children; how to_text and repr
 # spell each class: a leaf's text (a function), or the text around its children.
 _CHILDREN = {node: node.__match_args__ for node in (Add, Sub, Mul, Div, IfNeg)}
+_ARITY = {node: len(fields) for node, fields in _CHILDREN.items()}
 _TEXT = {Const: lambda c: str(c.value), Var: lambda v: "x", IfNeg: ("ifneg(", ", ", ", ", ")")}
 _TEXT |= {node: ("(", f" {op} ", ")") for op, (_, node) in _BINARY.items()}
 _REPR = {Const: lambda c: f"Const(value={c.value!r})", Var: lambda v: "Var()"}
@@ -182,19 +192,9 @@ def _compile(root: Expr) -> tuple:
     return tuple(code)
 
 
-def evaluate(e: Expr, x: Fraction) -> Fraction:
-    """Evaluate e at x, exactly. Division by zero raises ZeroDivisionError.
-
-    e is compiled once, on its first evaluation, and the code is kept on e.
-    The code runs iteratively over unreduced integer pairs (numerator,
-    denominator > 0), so an expression of any depth evaluates, and the one
-    reduction is the final Fraction. ifneg evaluates only the branch taken.
-    Raises TypeError unless x and the constants are exact (the rule in rationals).
-    """
-    if not isinstance(e, _Node):
-        raise TypeError(f"not an expression node: {e!r}")
-    code = e._code
-    xn, xd = _exact(x, "x").numerator, x.denominator
+def _run(code: tuple, xn: int, xd: int) -> Fraction:
+    """Run the postfix code at x = xn/xd over unreduced integer pairs
+    (numerator, denominator > 0); the one reduction is the final Fraction."""
     nums, dens = [], []
     pc, end = 0, len(code)
     while pc < end:
@@ -228,6 +228,194 @@ def evaluate(e: Expr, x: Fraction) -> Fraction:
                 nums[-1] = an * bd + bn * ad if op == _ADD else an * bd - bn * ad
                 dens[-1] = ad * bd
     return Fraction(nums[0], dens[0])
+
+
+# Budgets of the forms. A piece whose polynomials have degrees summing past
+# _DEGREE_BUDGET, or a coefficient of more than _BITS_BUDGET bits, has no form,
+# and its expression runs on the postfix code: a sum of n terms 1/(x + k) has
+# degree n, and unbounded coefficients make compiling cost more than evaluating.
+_DEGREE_BUDGET = 64
+_BITS_BUDGET = 1024
+
+
+class _Branch(NamedTuple):
+    """The form of an ifneg: its guard's piece, and the forms of its branches."""
+
+    guard: tuple
+    then: object
+    orelse: object
+
+
+# Polynomials with integer coefficients are tuples, lowest degree first, with
+# no zero leading coefficient; the zero polynomial is (0,).
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for j, bj in enumerate(b):
+        c[j] += bj
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        k = b[0]
+        return tuple([k * c for c in a]) if k else (0,)
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                c[i + j] += ai * bj
+    return tuple(c)  # the leading coefficient is a product of two nonzero ones
+
+
+def _primitive(c: tuple) -> tuple:
+    """c divided by its content, with a positive leading coefficient."""
+    g = gcd(*c)
+    return tuple(cj // (g if c[-1] > 0 else -g) for cj in c)
+
+
+def _combine(kind: type, a: tuple, b: tuple) -> tuple | None:
+    """The piece (P, Q, divisors) of `kind` over the pieces a and b; None for
+    a divisor that is identically 0, or past the budgets. P/Q is the value,
+    with the integer content of P and Q divided out and Q's leading
+    coefficient positive; divisors are the primitive numerators of the
+    divisors inside, those that are not constant."""
+    (pa, qa, divisors), (pb, qb, more) = a, b
+    if more:
+        divisors += tuple([c for c in more if c not in divisors])
+    if kind is Mul:
+        p, q = _mul(pa, pb), _mul(qa, qb)
+    elif kind is Div:
+        if pb == (0,):
+            return None
+        p, q = _mul(pa, qb), _mul(qa, pb)
+        if len(pb) > 1 and (divisor := _primitive(pb)) not in divisors:
+            divisors += (divisor,)
+    else:
+        if kind is Sub:
+            pb = tuple([-c for c in pb])
+        if qa == qb:
+            p, q = _add(pa, pb), qa
+        else:
+            p, q = _add(_mul(pa, qb), _mul(pb, qa)), _mul(qa, qb)
+    g = gcd(*p, *q)
+    if q[-1] < 0:
+        g = -g
+    if g != 1:
+        p, q = tuple([c // g for c in p]), tuple([c // g for c in q])
+    degree = len(p) + len(q) + sum(map(len, divisors)) - 2 - len(divisors)
+    if degree > _DEGREE_BUDGET or max(map(int.bit_length, p + q)) > _BITS_BUDGET:
+        return None
+    return p, q, divisors
+
+
+def _finish(piece: tuple) -> Fraction | tuple:
+    """The form of a piece: its Fraction when it is constant, else
+    (P, Q, deg Q - deg P, the divisors that Q's value does not check)."""
+    p, q, divisors = piece
+    if len(p) == len(q) == 1 and not divisors:
+        return Fraction(p[0], q[0])
+    if len(q) > 1:
+        # Q is a product of divisor numerators, so Q's own value checks a divisor equal to it.
+        own = _primitive(q)
+        divisors = tuple(c for c in divisors if c != own)
+    return p, q, len(q) - len(p), divisors
+
+
+def _form_of(root: Expr) -> Fraction | tuple | _Branch | None:
+    """The form of a compiled root, read off the steps of its walk: one
+    piece where root has no ifneg, a decision on its guard's piece for an
+    ifneg over forms, and None where it has none (arithmetic over an ifneg,
+    an ifneg in a guard, a divisor identically 0, a piece past the budgets)."""
+    done = []  # the pieces, as (P, Q, divisors), and forms of the finished subtrees
+    for node, i in _walk(root):
+        kind = type(node)
+        if i < _ARITY.get(kind, 0):
+            continue
+        if kind is Const:
+            done.append(((node.value.numerator,), (node.value.denominator,), ()))
+        elif kind is Var:
+            done.append(((0, 1), (1,), ()))
+        elif kind is IfNeg:
+            guard, then, orelse = done[-3:]
+            del done[-3:]
+            if type(guard) is not tuple:
+                return None
+            guard = _finish(guard)
+            if type(guard) is Fraction:  # a constant guard decides here
+                done.append(then if guard < 0 else orelse)
+            else:
+                then, orelse = (f if type(f) is not tuple else _finish(f) for f in (then, orelse))
+                done.append(_Branch(guard, then, orelse))
+        else:
+            b, a = done.pop(), done.pop()
+            if type(a) is not tuple or type(b) is not tuple:
+                return None
+            done.append(_combine(kind, a, b))
+            if done[-1] is None:
+                return None
+    return done[0] if type(done[0]) is not tuple else _finish(done[0])
+
+
+def _at(c: tuple, n: int, d: int) -> int:
+    """d^deg(c) · c(n/d): one homogeneous Horner pass in integers."""
+    acc, dk = c[-1], 1
+    for cj in c[-2::-1]:
+        dk *= d
+        acc = acc * n + cj * dk
+    return acc
+
+
+def _pair(piece: tuple, n: int, d: int) -> tuple[int, int] | None:
+    """(P_h, Q_h) of a non-constant piece at n/d; None where one of its divisors vanishes."""
+    p, q, _, divisors = piece
+    for c in divisors:
+        if not _at(c, n, d):
+            return None
+    qh = q[0] if len(q) == 1 else _at(q, n, d)
+    return (_at(p, n, d), qh) if qh else None
+
+
+def evaluate(e: Expr, x: Fraction) -> Fraction:
+    """Evaluate e at x, exactly. Division by zero raises ZeroDivisionError.
+
+    e is compiled once, on its first evaluation, to postfix code and, where
+    it has one, a form; both are kept on e. On the form, x = n/d costs a
+    homogeneous Horner pass in integers for P and for Q of each guard and of
+    the piece taken (none for a constant Q), and one Fraction; a constant
+    piece is its Fraction. The postfix code runs where e has no form
+    (arithmetic over an ifneg, an ifneg in a guard, a divisor identically 0,
+    a piece past _DEGREE_BUDGET or _BITS_BUDGET) and where a divisor on the
+    path taken vanishes at x, so values and errors are the code's. It runs
+    iteratively over unreduced integer pairs, so an expression of any depth
+    evaluates. ifneg evaluates only the branch taken. Raises TypeError
+    unless x and the constants are exact (the rule in rationals).
+    """
+    if not isinstance(e, _Node):
+        raise TypeError(f"not an expression node: {e!r}")
+    code, form = e._code, e._form
+    xn, xd = _exact(x, "x").numerator, x.denominator
+    while type(form) is _Branch:
+        pair = _pair(form.guard, xn, xd)
+        if pair is None:
+            return _run(code, xn, xd)
+        ph, qh = pair
+        form = form.then if ph and (ph < 0) != (qh < 0) else form.orelse
+    if type(form) is Fraction:
+        return form
+    pair = None if form is None else _pair(form, xn, xd)
+    if pair is None:
+        return _run(code, xn, xd)
+    ph, qh = pair
+    shift = form[2]
+    return Fraction(ph * xd**shift, qh) if shift >= 0 else Fraction(ph, qh * xd**-shift)
 
 
 def as_function(f: Expr | Callable[[Fraction], Fraction]) -> Callable[[Fraction], Fraction]:

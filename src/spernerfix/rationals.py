@@ -103,8 +103,14 @@ def _literal_value(match: re.Match, position: int | None = None) -> Fraction:
 def decimal_string(q: Fraction) -> str:
     """Render q with 12 fractional digits, truncated toward zero.
 
-    Display only; the result never feeds back into computation.
+    Display only; the result never feeds back into computation. Raises
+    ValueError when the whole part has more digits than str() of an int takes.
     """
     sign = "-" if _exact(q, "q") < 0 else ""
     whole, rem = divmod(abs(q.numerator), q.denominator)
-    return f"{sign}{whole}.{rem * 10**12 // q.denominator:012d}"
+    try:
+        digits = str(whole)
+    except ValueError:  # the digit limit is all that refuses an int
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"too long to render in decimal: integers over {limit} digits") from None
+    return f"{sign}{digits}.{rem * 10**12 // q.denominator:012d}"

@@ -1,10 +1,14 @@
+import importlib.util
 import random
 import re
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import LIPSCHITZ_CORPUS, gen_expr
+from conftest import LIPSCHITZ_CORPUS, gen_expr, run_python_O
 from spernerfix import expr as expr_module
 from spernerfix.counterexample import counterexample_expr
 from spernerfix.expr import (
@@ -501,6 +505,174 @@ class TestAgainstRecursiveReference:
         for x in POINTS:
             assert fn(x) == evaluate(e, x) == recursive_evaluate(e, x)
         assert calls == [e]
+
+
+def interpreter(e, x):
+    """The postfix interpreter alone, as evaluate runs it when it falls back."""
+    x = Fraction(x)
+    return expr_module._run(e._code, x.numerator, x.denominator)
+
+
+def no_interpreter(code, xn, xd):
+    raise AssertionError("the interpreter was entered")
+
+
+def load_inputs():
+    """perfbench's seeded map generators (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclass looks its module up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+# Expressions with points where a guard is exactly 0 or a divisor vanishes:
+# in a guard, in a piece, nested (the final denominator of 1/(1/(x - 1)) is 1),
+# and in a branch not taken.
+FORM_CASES = [
+    ("ifneg(x - 1/2, x, 1 - x)", ["1/2", "0", "1"]),
+    ("ifneg(x*x - 1/4, 1/x, x)", ["1/2", "-1/2", "0"]),
+    ("ifneg((3*x - 1)/(x + 2), 2, 1)", ["1/3", "-2", "0", "1"]),
+    ("ifneg(x, ifneg(x + 1, 1, 2), ifneg(x - 1, 3, 4))", ["-2", "-1", "0", "1", "2"]),
+    ("ifneg(1/(x - 1/3), 1, 2)", ["1/3", "0", "1"]),
+    ("1/(1/(x - 1))", ["1", "0", "2"]),
+    ("(x*x - 1/4)/(x - 1/2)", ["1/2", "-1/2", "0"]),
+    ("ifneg(x - 1/2, 1/(2*x - 1), 0)", ["1/2", "0", "1"]),
+    ("-1/(x*(x - 1))", ["0", "1", "1/2"]),
+    ("(x - 1)/(x - 1) + x/x", ["1", "0", "3"]),
+    ("1/(x - x) + x", ["0", "1"]),
+    ("ifneg(x - 1/7, (x*x + 6*x + 8)/26, (x + 2)/20)", ["1/7", "0", "1"]),
+    ("ifneg(-1, x/(x - 2), 1/x)", ["2", "0", "1"]),
+]
+
+
+def form_cases():
+    """(text, x) pairs: each case's own points and the shared POINTS."""
+    return [(text, Fraction(x)) for text, xs in FORM_CASES for x in [*xs, *POINTS]]
+
+
+DEGREES, BITS = expr_module._DEGREE_BUDGET, expr_module._BITS_BUDGET
+
+
+class TestForms:
+    def test_cases_match_the_interpreter_and_the_reference(self):
+        raised = 0
+        for text, x in form_cases():
+            e = parse(text)
+            expected = outcome(recursive_evaluate, e, x)
+            assert outcome(interpreter, e, x) == expected, (text, x)
+            for _ in range(2):  # the first call builds the form, the second runs it
+                got = outcome(evaluate, e, x)
+                assert got == expected and type(got) is type(expected), (text, x)
+            raised += isinstance(expected, str)
+        assert raised >= 8
+
+    def test_generated_trees_match_the_interpreter(self):
+        rng = random.Random(20261023)
+        exprs = [gen_expr(rng, rng.randint(0, 7)) for _ in range(1500)]
+        points = POINTS + [Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(12)]
+        formed = raised = 0
+        for e in exprs:
+            for x in points:
+                expected = outcome(interpreter, e, x)
+                assert outcome(evaluate, e, x) == expected, (e, x)
+                raised += isinstance(expected, str)
+            formed += e._form is not None
+        # most trees have forms, and some points divide by zero
+        assert formed > len(exprs) // 2 and raised > 100
+
+    def test_cases_under_python_O(self):
+        cases = [(t, str(x), outcome(recursive_evaluate, parse(t), x)) for t, x in form_cases()]
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from fractions import Fraction
+            from spernerfix import expr
+
+            if not sys.flags.optimize:
+                sys.exit("not running under python -O")
+            for text, x, expected in {cases!r}:
+                e, x = expr.parse(text), Fraction(x)
+                code = lambda e, x: expr._run(e._code, x.numerator, x.denominator)
+                for run in (expr.evaluate, expr.evaluate, code):
+                    try:
+                        got = run(e, x)
+                    except ZeroDivisionError as exc:
+                        got = f"ZeroDivisionError: {{exc}}"
+                    if got != expected:
+                        sys.exit(f"{{text}} at {{x}}: {{got!r}}, not {{expected!r}}")
+            print(len({cases!r}))
+            """
+        )
+        done = run_python_O(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(len(cases))
+
+    @pytest.mark.parametrize(
+        "e, x, message",
+        [
+            (Add(Var(), Const(0.5)), Fraction(1), "constant must be an int or a Fraction, not 0.5"),
+            (Add(Var(), Const(0.5)), 0.5, "constant must be an int or a Fraction, not 0.5"),
+            (parse("(x*x + 2)/4"), 0.5, "x must be an int or a Fraction, not 0.5"),
+            (parse("(x*x + 2)/4"), True, "x must be an int or a Fraction, not True"),
+            (parse("ifneg(x, 1, 2) * x"), 0.5, "x must be an int or a Fraction, not 0.5"),
+        ],
+    )
+    def test_inexact_input_is_refused_in_the_same_order(self, e, x, message):
+        # the constants are checked first, as the code is compiled, then x
+        for _ in range(2):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                evaluate(e, x)
+
+    def test_solve_deep_kinds_and_the_step_map_run_on_forms(self, monkeypatch):
+        inputs = load_inputs()
+        exprs = [parse(m.text) for m in inputs.solve_deep_maps(1, 200)]
+        exprs += [counterexample_expr(), *(e for e, *_ in LIPSCHITZ_CORPUS)]
+        # the maps' domain [0, 1], and the step map's [1, 2]
+        points = [x for x in POINTS if 0 <= x <= 1] + [Fraction(k, 7) for k in range(1, 15)]
+        expected = [[recursive_evaluate(e, x) for x in points] for e in exprs]
+        monkeypatch.setattr(expr_module, "_run", no_interpreter)
+        for e, values in zip(exprs, expected):
+            assert [evaluate(e, x) for x in points] == values, e
+
+    @pytest.mark.parametrize(
+        "text, on_forms",
+        [
+            pytest.param("*".join(["x"] * DEGREES), True, id="degree-at-budget"),
+            pytest.param("*".join(["x"] * (DEGREES + 1)), False, id="degree-over"),
+            pytest.param(" + ".join(f"1/(x + {k})" for k in range(1, 40)), False, id="1/(x+k)-sum"),
+            pytest.param(f"x + 1/{2 ** (BITS - 1)}", True, id="bits-at-budget"),
+            pytest.param(f"x + 1/{2 ** BITS}", False, id="bits-over"),
+            pytest.param(" + ".join(f"{k}*x/{k + 1}" for k in range(1, 999)), False, id="kx-sum"),
+            pytest.param("ifneg(x, 1, 2) + x", False, id="arithmetic-over-ifneg"),
+            pytest.param("ifneg(ifneg(x, 1, -1), 1, 2)", False, id="ifneg-in-guard"),
+            pytest.param("ifneg(x, 1/(x - x), 2)", False, id="divisor-identically-0"),
+        ],
+    )
+    def test_over_budget_or_formless_input_falls_back(self, monkeypatch, text, on_forms):
+        e = parse(text)
+        points = [Fraction(1, 3), Fraction(-5, 2), POINTS[-1]]
+        expected = [outcome(interpreter, e, x) for x in points]
+        calls, real = [], expr_module._run
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(expr_module, "_run", counted)
+        assert [outcome(evaluate, e, x) for x in points] == expected
+        assert (e._form is not None) is on_forms
+        assert len(calls) == (0 if on_forms else len(points))
+
+    def test_a_long_constant_sum_evaluates_on_its_folded_form(self, monkeypatch):
+        # 64 000 terms 1/2 and x/2: the postfix code's pairs grow with the
+        # program's length, the folded form is 32000 + x/2
+        e = parse(" + ".join(["1/2"] * 64_000 + ["x/2"]))
+        assert evaluate(e, Fraction(1, 3)) == Fraction(192_001, 6)
+        monkeypatch.setattr(expr_module, "_run", no_interpreter)
+        assert e._form == ((64_000, 1), (2,), -1, ())
+        assert evaluate(e, POINTS[-1]) == 32_000 + POINTS[-1] / 2
 
 
 class TestToText:

@@ -161,3 +161,13 @@ class TestDecimalString:
 
     def test_integer(self):
         assert decimal_string(Fraction(2)) == "2.000000000000"
+
+    def test_whole_part_over_the_digit_limit_is_refused_in_the_package_wording(self, digit_limit):
+        digit_limit(640)
+        # 640 digits in the whole part render, and a numerator of more digits is no obstacle
+        assert decimal_string(Fraction(-(10**640 - 1) * 7, 7)) == "-" + "9" * 640 + ".000000000000"
+        assert decimal_string(Fraction(10**700 + 1, 10**699)) == "10.000000000000"
+        for q in (Fraction(10**640), Fraction(-(10**700), 3)):
+            with pytest.raises(ValueError) as info:
+                decimal_string(q)
+            assert str(info.value) == "too long to render in decimal: integers over 640 digits"

@@ -36,7 +36,7 @@ from typing import get_args
 from .counterexample import CounterexampleReport, run_demo
 from .expr import parse
 from .plmap import pl_evaluate, pl_fixed_points, pl_from_labeling, pl_trace
-from .rationals import decimal_string, parse_rational
+from .rationals import _text, decimal_string, parse_rational
 from .solver import Mode, SolverConfig, solve
 from .sperner import (
     BoundaryConditionError,
@@ -59,16 +59,6 @@ _SOLVE_COLUMNS = "result,mode,rounds_used,converged,x,lo,hi,g_lo,g_hi,width".spl
 def _default_format() -> str:
     value = os.environ.get(FORMAT_ENV_VAR, "")
     return value if value in FORMATS else "human"
-
-
-def _text(q: Fraction | int, refusal: str = "the result is too long to print") -> str:
-    """str(q); the interpreter's refusal of an integer over its int-to-string
-    digit limit becomes a ValueError that starts with `refusal`."""
-    try:
-        return str(q)
-    except ValueError:  # for an int or a Fraction, only the digit limit raises
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{refusal}: integers over {limit} digits") from None
 
 
 def _human(q: Fraction) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .expr import Const, Expr, IfNeg, Mul, Sub, Var
 from .rationals import CertificateError, _count, _exact, is_below_sqrt2
@@ -41,8 +42,10 @@ _ONE = Fraction(1)
 _TWO = Fraction(2)
 
 
+@cache
 def counterexample_expr() -> Expr:
-    """The step map on [1, 2]: 2 below sqrt(2), 1 above, as ifneg(x*x - 2, 2, 1)."""
+    """The step map on [1, 2]: 2 below sqrt(2), 1 above, as ifneg(x*x - 2, 2, 1);
+    built once, so every caller shares its compiled code and form."""
     return IfNeg(Sub(Mul(Var(), Var()), Const(_TWO)), Const(_TWO), Const(_ONE))
 
 

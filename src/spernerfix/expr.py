@@ -7,13 +7,14 @@ guards: constants, the variable x, the four field operations, and
 possible runtime failure is division by zero. Each expression is compiled
 once, on its first evaluation, to postfix code, which ``==`` and ``hash``
 compare, and to a form: each piece without ifneg as a pair of integer
-polynomials with its constants folded, and each ifneg over pieces as a
-decision on its guard's pair. `evaluate` runs the form, and the postfix code
-where there is none or a divisor vanishes; the code is the reference, and
-both give the same value and the same error. Parsing, and the one tree walk
-that compiling, building forms, `to_text` and ``repr`` read, run over
-explicit stacks: nothing in this module recurses, so any expression that
-fits in memory parses, prints, compares, hashes and evaluates.
+polynomials P/Q with its constants folded, whose Q vanishes exactly where a
+divisor inside the piece does, and each ifneg over pieces as a decision on
+its guard's pair. `evaluate` runs the form, and the postfix code where there
+is none or the Q of a guard, or of the piece taken, is 0; the code is the
+reference, and both give the same value and the same error. Parsing, and the
+one tree walk that compiling, building forms, `to_text` and ``repr`` read,
+run over explicit stacks: nothing in this module recurses, so any expression
+that fits in memory parses, prints, compares, hashes and evaluates.
 
 Grammar (version 1), with standard precedence and left association::
 
@@ -233,7 +234,7 @@ def _run(code: tuple, xn: int, xd: int) -> Fraction:
 # Budgets of the forms. A piece whose polynomials have degrees summing past
 # _DEGREE_BUDGET, or a coefficient of more than _BITS_BUDGET bits, has no form,
 # and its expression runs on the postfix code: a sum of n terms 1/(x + k) has
-# degree n, and unbounded coefficients make compiling cost more than evaluating.
+# deg P + deg Q = 2n - 1, and unbounded coefficients make compiling cost more than evaluating.
 _DEGREE_BUDGET = 64
 _BITS_BUDGET = 1024
 
@@ -275,29 +276,22 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return tuple(c)  # the leading coefficient is a product of two nonzero ones
 
 
-def _primitive(c: tuple) -> tuple:
-    """c divided by its content, with a positive leading coefficient."""
-    g = gcd(*c)
-    return tuple(cj // (g if c[-1] > 0 else -g) for cj in c)
-
-
 def _combine(kind: type, a: tuple, b: tuple) -> tuple | None:
-    """The piece (P, Q, divisors) of `kind` over the pieces a and b; None for
-    a divisor that is identically 0, or past the budgets. P/Q is the value,
-    with the integer content of P and Q divided out and Q's leading
-    coefficient positive; divisors are the primitive numerators of the
-    divisors inside, those that are not constant."""
-    (pa, qa, divisors), (pb, qb, more) = a, b
-    if more:
-        divisors += tuple([c for c in more if c not in divisors])
+    """The piece (P, Q) of `kind` over the pieces a and b; None for a divisor
+    that is identically 0, or past the budgets. P/Q is the value, with the
+    integer content of P and Q divided out and Q's leading coefficient
+    positive. A division by pb/qb with qb not constant multiplies P and Q by
+    qb too, and no polynomial factor ever cancels, so Q vanishes exactly
+    where some divisor inside the piece does."""
+    (pa, qa), (pb, qb) = a, b
     if kind is Mul:
         p, q = _mul(pa, pb), _mul(qa, qb)
     elif kind is Div:
         if pb == (0,):
             return None
         p, q = _mul(pa, qb), _mul(qa, pb)
-        if len(pb) > 1 and (divisor := _primitive(pb)) not in divisors:
-            divisors += (divisor,)
+        if len(qb) > 1:
+            p, q = _mul(p, qb), _mul(q, qb)
     else:
         if kind is Sub:
             pb = tuple([-c for c in pb])
@@ -310,23 +304,17 @@ def _combine(kind: type, a: tuple, b: tuple) -> tuple | None:
         g = -g
     if g != 1:
         p, q = tuple([c // g for c in p]), tuple([c // g for c in q])
-    degree = len(p) + len(q) + sum(map(len, divisors)) - 2 - len(divisors)
-    if degree > _DEGREE_BUDGET or max(map(int.bit_length, p + q)) > _BITS_BUDGET:
+    if len(p) + len(q) - 2 > _DEGREE_BUDGET or max(map(int.bit_length, p + q)) > _BITS_BUDGET:
         return None
-    return p, q, divisors
+    return p, q
 
 
 def _finish(piece: tuple) -> Fraction | tuple:
-    """The form of a piece: its Fraction when it is constant, else
-    (P, Q, deg Q - deg P, the divisors that Q's value does not check)."""
-    p, q, divisors = piece
-    if len(p) == len(q) == 1 and not divisors:
+    """The form of a piece: its Fraction when it is constant, else (P, Q, deg Q - deg P)."""
+    p, q = piece
+    if len(p) == len(q) == 1:
         return Fraction(p[0], q[0])
-    if len(q) > 1:
-        # Q is a product of divisor numerators, so Q's own value checks a divisor equal to it.
-        own = _primitive(q)
-        divisors = tuple(c for c in divisors if c != own)
-    return p, q, len(q) - len(p), divisors
+    return p, q, len(q) - len(p)
 
 
 def _form_of(root: Expr) -> Fraction | tuple | _Branch | None:
@@ -334,15 +322,15 @@ def _form_of(root: Expr) -> Fraction | tuple | _Branch | None:
     piece where root has no ifneg, a decision on its guard's piece for an
     ifneg over forms, and None where it has none (arithmetic over an ifneg,
     an ifneg in a guard, a divisor identically 0, a piece past the budgets)."""
-    done = []  # the pieces, as (P, Q, divisors), and forms of the finished subtrees
+    done = []  # the pieces, as (P, Q), and forms of the finished subtrees
     for node, i in _walk(root):
         kind = type(node)
         if i < _ARITY.get(kind, 0):
             continue
         if kind is Const:
-            done.append(((node.value.numerator,), (node.value.denominator,), ()))
+            done.append(((node.value.numerator,), (node.value.denominator,)))
         elif kind is Var:
-            done.append(((0, 1), (1,), ()))
+            done.append(((0, 1), (1,)))
         elif kind is IfNeg:
             guard, then, orelse = done[-3:]
             del done[-3:]
@@ -374,12 +362,9 @@ def _at(c: tuple, n: int, d: int) -> int:
 
 
 def _pair(piece: tuple, n: int, d: int) -> tuple[int, int] | None:
-    """(P_h, Q_h) of a non-constant piece at n/d; None where one of its divisors vanishes."""
-    p, q, _, divisors = piece
-    for c in divisors:
-        if not _at(c, n, d):
-            return None
-    qh = q[0] if len(q) == 1 else _at(q, n, d)
+    """(P_h, Q_h) of a non-constant piece at n/d; None where Q_h, so a divisor inside, is 0."""
+    p, q, _ = piece
+    qh = _at(q, n, d)
     return (_at(p, n, d), qh) if qh else None
 
 
@@ -389,14 +374,15 @@ def evaluate(e: Expr, x: Fraction) -> Fraction:
     e is compiled once, on its first evaluation, to postfix code and, where
     it has one, a form; both are kept on e. On the form, x = n/d costs a
     homogeneous Horner pass in integers for P and for Q of each guard and of
-    the piece taken (none for a constant Q), and one Fraction; a constant
-    piece is its Fraction. The postfix code runs where e has no form
-    (arithmetic over an ifneg, an ifneg in a guard, a divisor identically 0,
-    a piece past _DEGREE_BUDGET or _BITS_BUDGET) and where a divisor on the
-    path taken vanishes at x, so values and errors are the code's. It runs
-    iteratively over unreduced integer pairs, so an expression of any depth
-    evaluates. ifneg evaluates only the branch taken. Raises TypeError
-    unless x and the constants are exact (the rule in rationals).
+    the piece taken, and one Fraction; a constant piece is its Fraction. A
+    piece's Q vanishes exactly where a divisor inside it does. The postfix
+    code runs where e has no form (arithmetic over an ifneg, an ifneg in a
+    guard, a divisor identically 0, a piece past _DEGREE_BUDGET or
+    _BITS_BUDGET) and where the Q of a guard, or of the piece taken, is 0 at
+    x, so values and errors are the code's. It runs iteratively over
+    unreduced integer pairs, so an expression of any depth evaluates. ifneg
+    evaluates only the branch taken. Raises TypeError unless x and the
+    constants are exact (the rule in rationals).
     """
     if not isinstance(e, _Node):
         raise TypeError(f"not an expression node: {e!r}")

@@ -7,7 +7,8 @@ a floating-point approximation. This module adds the small amount of surface
 the rest of the package needs on top of the stdlib type: the one exactness
 check of its inputs, the error raised when such a decision comes out against a
 certificate, an exact order test against sqrt(2), the text literal format of
-the CLI and of expression constants, and display-only decimal rendering.
+the CLI and of expression constants, display-only decimal rendering, and the
+one wording of str()'s refusal of an integer over the digit limit.
 """
 
 from __future__ import annotations
@@ -108,9 +109,15 @@ def decimal_string(q: Fraction) -> str:
     """
     sign = "-" if _exact(q, "q") < 0 else ""
     whole, rem = divmod(abs(q.numerator), q.denominator)
-    try:
-        digits = str(whole)
-    except ValueError:  # the digit limit is all that refuses an int
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"too long to render in decimal: integers over {limit} digits") from None
+    digits = _text(whole, "too long to render in decimal")
     return f"{sign}{digits}.{rem * 10**12 // q.denominator:012d}"
+
+
+def _text(q: Fraction | int, refusal: str = "the result is too long to print") -> str:
+    """str(q); the interpreter's refusal of an integer over its int-to-string
+    digit limit becomes a ValueError that starts with `refusal`."""
+    try:
+        return str(q)
+    except ValueError:  # for an int or a Fraction, only the digit limit raises
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{refusal}: integers over {limit} digits") from None

@@ -251,7 +251,6 @@ def test_only_the_refusals_read_the_digit_limit():
     # their refusal, and by the one pre-check that predicts it.
     assert digit_limit_readers() == {
         ("rationals", "_literal_value"),
-        ("rationals", "decimal_string"),
-        ("cli", "_text"),
+        ("rationals", "_text"),
         ("cli", "cmd_counterexample"),
     }

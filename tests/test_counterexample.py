@@ -198,6 +198,20 @@ class TestEvaluationCount:
         reference_run_demo(100)
         assert len(calls) == 502
 
+    def test_the_step_map_is_compiled_once(self, monkeypatch):
+        calls, real = [], expr._compile
+
+        def counting(e):
+            calls.append(e)
+            return real(e)
+
+        monkeypatch.setattr(expr, "_compile", counting)
+        counterexample_expr.cache_clear()  # a fresh map, whatever ran before
+        run_demo(5)
+        for k in range(100):
+            assert assert_no_fixed_point(1 + Fraction(k, 99))
+        assert calls == [counterexample_expr()]
+
 
 _LYING_ORACLE = textwrap.dedent(
     """

@@ -555,6 +555,27 @@ def form_cases():
 DEGREES, BITS = expr_module._DEGREE_BUDGET, expr_module._BITS_BUDGET
 
 
+def reciprocal_sum(n):
+    """1/(x + 1) + ... + 1/(x + n), a piece with deg P + deg Q = 2n - 1."""
+    return " + ".join(f"1/(x + {k})" for k in range(1, n + 1))
+
+
+def value_at(c, x):
+    """The polynomial c, lowest degree first, at x."""
+    return sum(cj * x**j for j, cj in enumerate(c))
+
+
+def form_q_vanishes(form, x):
+    """Whether the Q of a guard on the path a form takes at x, or of the piece
+    it reaches, is 0 there. The path follows the sign of P/Q."""
+    while type(form) is expr_module._Branch:
+        p, q = form.guard[:2]
+        if not value_at(q, x):
+            return True
+        form = form.then if value_at(p, x) / value_at(q, x) < 0 else form.orelse
+    return type(form) is not Fraction and not value_at(form[1], x)
+
+
 class TestForms:
     def test_cases_match_the_interpreter_and_the_reference(self):
         raised = 0
@@ -581,6 +602,25 @@ class TestForms:
             formed += e._form is not None
         # most trees have forms, and some points divide by zero
         assert formed > len(exprs) // 2 and raised > 100
+
+    def test_a_zero_q_is_exactly_where_a_divisor_vanishes(self):
+        # the Q of a guard, or of the piece taken, is 0 exactly where the
+        # reference divides by zero; 1/(1/(x - 1)) at 1 is the nested case
+        rng = random.Random(20261023)
+        exprs = [parse(text) for text, _ in FORM_CASES]
+        exprs += [gen_expr(rng, rng.randint(0, 7)) for _ in range(1500)]
+        points = sorted({Fraction(x) for _, xs in FORM_CASES for x in xs} | set(POINTS))
+        points += [Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(12)]
+        checked = vanished = 0
+        for e in exprs:
+            if e._form is None:
+                continue
+            for x in points:
+                raised = isinstance(outcome(recursive_evaluate, e, x), str)
+                assert form_q_vanishes(e._form, x) is raised, (e, x)
+                checked += 1
+                vanished += raised
+        assert checked > 20_000 and vanished > 100
 
     def test_cases_under_python_O(self):
         cases = [(t, str(x), outcome(recursive_evaluate, parse(t), x)) for t, x in form_cases()]
@@ -642,6 +682,8 @@ class TestForms:
             pytest.param("*".join(["x"] * DEGREES), True, id="degree-at-budget"),
             pytest.param("*".join(["x"] * (DEGREES + 1)), False, id="degree-over"),
             pytest.param(" + ".join(f"1/(x + {k})" for k in range(1, 40)), False, id="1/(x+k)-sum"),
+            pytest.param(reciprocal_sum(DEGREES // 2), True, id="1/(x+k)-sum-at-budget"),
+            pytest.param(reciprocal_sum(DEGREES // 2 + 1), False, id="1/(x+k)-sum-over"),
             pytest.param(f"x + 1/{2 ** (BITS - 1)}", True, id="bits-at-budget"),
             pytest.param(f"x + 1/{2 ** BITS}", False, id="bits-over"),
             pytest.param(" + ".join(f"{k}*x/{k + 1}" for k in range(1, 999)), False, id="kx-sum"),
@@ -671,7 +713,7 @@ class TestForms:
         e = parse(" + ".join(["1/2"] * 64_000 + ["x/2"]))
         assert evaluate(e, Fraction(1, 3)) == Fraction(192_001, 6)
         monkeypatch.setattr(expr_module, "_run", no_interpreter)
-        assert e._form == ((64_000, 1), (2,), -1, ())
+        assert e._form == ((64_000, 1), (2,), -1)
         assert evaluate(e, POINTS[-1]) == 32_000 + POINTS[-1] / 2
 
 
